@@ -51,6 +51,42 @@ void BM_MakePlan6D(benchmark::State& state) {
 }
 BENCHMARK(BM_MakePlan6D);
 
+// The stride-program compile alone (Plan::finalize_specialization), the
+// part of make_plan that single-use calls pay on top of kernel selection.
+// Arg 0: an Orthogonal-Distinct plan that compiles to the affine_bulk
+// tier; arg 1: an Orthogonal-Arbitrary plan that compiles to templated.
+void BM_SpecCompile6D(benchmark::State& state) {
+  struct Case {
+    std::vector<Index> perm;
+    Schema schema;
+    SpecTier tier;
+  };
+  static const Case kCases[] = {
+      {{5, 0, 2, 3, 4, 1}, Schema::kOrthogonalDistinct, SpecTier::kAffineBulk},
+      {{1, 2, 5, 0, 3, 4}, Schema::kOrthogonalArbitrary, SpecTier::kTemplated},
+  };
+  const Case& c = kCases[state.range(0)];
+  sim::Device dev;
+  PlanOptions opts;
+  opts.specialize = false;
+  Plan plan = make_plan(dev, Shape({16, 16, 16, 16, 16, 16}),
+                        Permutation(c.perm), opts);
+  plan.finalize_specialization(true);
+  if (plan.schema() != c.schema || plan.specialization_tier() != c.tier) {
+    state.SkipWithError(("expected " + to_string(c.schema) + "/" +
+                         to_string(c.tier) + ", got " +
+                         to_string(plan.schema()) + "/" +
+                         to_string(plan.specialization_tier()))
+                            .c_str());
+    return;
+  }
+  for (auto _ : state) {
+    plan.finalize_specialization(true);
+    benchmark::DoNotOptimize(plan.specialization_tier());
+  }
+}
+BENCHMARK(BM_SpecCompile6D)->Arg(0)->Arg(1);
+
 void BM_PredictTransposeTime(benchmark::State& state) {
   const Shape shape({32, 32, 32, 32});
   const Permutation perm({3, 1, 0, 2});

@@ -53,6 +53,47 @@ Index txns_for_run_at_phase(Index phase, Index elems, int elem_size,
   return (phase + elems * elem_size - 1) / txn_bytes + 1;
 }
 
+std::vector<std::int32_t> build_phase_table(std::span<const RunAccess> runs,
+                                            int elem_size, Index txn_bytes) {
+  if (runs.empty()) return {};
+  // With (q, r) = divmod(nlanes*elem_size - 1, txn_bytes), a run starting
+  // at phase ph takes q + 1 + [ph >= txn_bytes - r] transactions (the
+  // closed form of txns_for_run_at_phase). So every run adds q + 1 to
+  // the whole table, plus 1 on the cyclic range of block phases p whose
+  // start phase (p + rel0*elem_size) mod txn_bytes lands in
+  // [txn_bytes - r, txn_bytes): r consecutive entries beginning at
+  // (txn_bytes - r - ph0) mod txn_bytes. The ranges go into a difference
+  // array, so the cost is O(runs + txn_bytes).
+  const Index txn = txn_bytes;
+  Index all = 0;
+  std::vector<Index> diff(static_cast<std::size_t>(txn) + 1, 0);
+  for (const RunAccess& run : runs) {
+    const Index span = run.nlanes * elem_size - 1;
+    all += span / txn + 1;
+    const Index r = span % txn;
+    if (r == 0) continue;
+    Index ph0 = (run.rel0 * elem_size) % txn;
+    if (ph0 < 0) ph0 += txn;
+    Index lo = txn - r - ph0;
+    if (lo < 0) lo += txn;
+    const Index hi = lo + r;
+    ++diff[static_cast<std::size_t>(lo)];
+    if (hi <= txn) {
+      --diff[static_cast<std::size_t>(hi)];
+    } else {
+      ++diff[0];
+      --diff[static_cast<std::size_t>(hi - txn)];
+    }
+  }
+  std::vector<std::int32_t> table(static_cast<std::size_t>(txn));
+  Index extra = 0;
+  for (std::size_t p = 0; p < table.size(); ++p) {
+    extra += diff[p];
+    table[p] = static_cast<std::int32_t>(all + extra);
+  }
+  return table;
+}
+
 sim::LaunchCounters analyze_od(const TransposeProblem& p, const OdConfig& c) {
   sim::LaunchCounters ctr;
   const Index outer =

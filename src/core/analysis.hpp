@@ -5,6 +5,10 @@
 // counters by the Table I benchmark and tests.
 #pragma once
 
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "core/fvi_config.hpp"
 #include "core/oa_config.hpp"
 #include "core/od_config.hpp"
@@ -26,6 +30,27 @@ Index txns_for_run(Index elems, int elem_size, Index txn_bytes = 128);
 /// its base address (see core/stride_program.hpp). Requires elems >= 1.
 Index txns_for_run_at_phase(Index phase, Index elems, int elem_size,
                             Index txn_bytes = 128);
+
+/// One warp access of an affine access pattern: `nlanes` consecutive
+/// elements starting `rel0` elements from the block base (rel0 may be
+/// negative).
+struct RunAccess {
+  Index rel0 = 0;
+  Index nlanes = 1;
+};
+
+/// Whole-tile transaction table of a list of runs: entry p is the total
+/// transaction count when the block base lands p bytes into its segment,
+///   table[p] = sum over runs of
+///              txns_for_run_at_phase((p + rel0*elem_size) mod txn_bytes,
+///                                    nlanes, elem_size, txn_bytes),
+/// for p in [0, txn_bytes). Computed in O(runs + txn_bytes) exact integer
+/// arithmetic (each run is a constant plus one cyclic range of phases).
+/// Requires nlanes >= 1. Entries are narrowed to int32 like the
+/// execution-time tables that store them. An empty run list gives an
+/// empty table.
+std::vector<std::int32_t> build_phase_table(std::span<const RunAccess> runs,
+                                            int elem_size, Index txn_bytes);
 
 /// Analytic counter estimates, per kernel. `payload_bytes` and launch
 /// geometry are filled in so the estimates can be fed straight into

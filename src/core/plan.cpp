@@ -150,9 +150,15 @@ void Plan::finalize_specialization(bool enabled) {
   const SpecTier tier = specialization_tier();
   // Tier counters are always on (robustness-class): whether the fleet
   // actually runs specialized is a dashboard query, not a debug flag.
-  telemetry::MetricsRegistry::global()
-      .counter(std::string("plan.specialization_tier.") + to_string(tier))
-      .inc();
+  const auto tier_counter = [](SpecTier t) {
+    return telemetry::CounterRef(telemetry::MetricsRegistry::global(),
+                                 std::string("plan.specialization_tier.") +
+                                     to_string(t));
+  };
+  static telemetry::CounterRef tier_counters[] = {
+      tier_counter(SpecTier::kGeneric), tier_counter(SpecTier::kStrideProgram),
+      tier_counter(SpecTier::kTemplated), tier_counter(SpecTier::kAffineBulk)};
+  tier_counters[static_cast<int>(tier)].inc();
   if (telemetry::log_site_enabled(telemetry::LogLevel::kInfo)) {
     telemetry::LogEvent ev(telemetry::LogLevel::kInfo, "planner",
                            "plan.specialized");
@@ -175,7 +181,9 @@ void Plan::finalize_specialization(bool enabled) {
 
 void Plan::record_execution(const sim::LaunchResult& res,
                             bool planned_kernel) const {
-  telemetry::MetricsRegistry::global().counter("plan.executions").inc();
+  static telemetry::CounterRef executions(telemetry::MetricsRegistry::global(),
+                                          "plan.executions");
+  executions.inc();
   if (telemetry::counters_enabled())
     telemetry::MetricsRegistry::global()
         .histogram("plan.exec_us", {1.0, 3.0, 10.0, 30.0, 100.0, 300.0,

@@ -70,7 +70,8 @@ class Plan {
   /// Grid size of the planned (rung-1) kernel — the block-id space that
   /// execute_window() windows over. Valid plans only.
   Index grid_blocks() const;
-  /// Host wall-clock spent planning (selection + offset upload).
+  /// Host wall-clock spent planning: kernel selection, offset upload and
+  /// the stride-program compile (finalize_specialization).
   double plan_wall_s() const { return plan_wall_s_; }
 
   /// The rung plan construction landed on (kPlanned unless make_plan

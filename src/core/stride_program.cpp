@@ -4,9 +4,7 @@
 #include <array>
 #include <bit>
 #include <cstdlib>
-#include <string>
 #include <string_view>
-#include <unordered_map>
 
 #include "common/error.hpp"
 #include "core/analysis.hpp"
@@ -51,10 +49,27 @@ namespace {
 
 using sim::kWarpSize;
 
-void count_reject(const char* reason) {
-  telemetry::MetricsRegistry::global()
-      .counter(std::string("plan.spec.reject.") + reason)
-      .inc();
+/// Why a plan stays generic; each reason is a plan.spec.reject.* counter.
+enum class Reject {
+  kLayout,
+  kUntraceable,
+  kClassMismatch,
+  kFootprint,
+  kSelfCheck,
+  kWidth,
+};
+
+void count_reject(Reject why) {
+  auto& reg = telemetry::MetricsRegistry::global();
+  static telemetry::CounterRef counters[] = {
+      {reg, "plan.spec.reject.layout"},
+      {reg, "plan.spec.reject.untraceable"},
+      {reg, "plan.spec.reject.class_mismatch"},
+      {reg, "plan.spec.reject.footprint"},
+      {reg, "plan.spec.reject.self_check"},
+      {reg, "plan.spec.reject.width"},
+  };
+  counters[static_cast<int>(why)].inc();
 }
 
 // Synthetic device base addresses for the in/out views the recorder and
@@ -65,31 +80,97 @@ void count_reject(const char* reason) {
 constexpr std::int64_t kRecInBase = std::int64_t{1} << 40;
 constexpr std::int64_t kRecOutBase = std::int64_t{3} << 40;
 
-/// Kernel-facing context that compiles the address stream instead of
-/// simulating it. Presents the same surface as sim::BlockCtx (the
-/// kernels are templated on the context), but:
+bool counters_equal(const sim::LaunchCounters& a, const sim::LaunchCounters& b) {
+  return a.gld_transactions == b.gld_transactions &&
+         a.gst_transactions == b.gst_transactions &&
+         a.smem_load_ops == b.smem_load_ops &&
+         a.smem_store_ops == b.smem_store_ops &&
+         a.smem_bank_conflicts == b.smem_bank_conflicts &&
+         a.tex_transactions == b.tex_transactions &&
+         a.tex_misses == b.tex_misses && a.special_ops == b.special_ops &&
+         a.fma_ops == b.fma_ops && a.barriers == b.barriers &&
+         a.payload_bytes == b.payload_bytes;
+}
+
+bool gops_equal(const SpecGlobalOp& a, const SpecGlobalOp& b) {
+  return a.is_load == b.is_load && a.is_run == b.is_run && a.rel0 == b.rel0 &&
+         a.nlanes == b.nlanes && a.delta_off == b.delta_off &&
+         a.delta_len == b.delta_len;
+}
+
+/// Calls f(l) for every active lane in ascending order until f returns
+/// false; returns whether it ran to the end. Nearly every kernel access
+/// activates a lane prefix [0, n), which gets a plain counted loop.
+template <class F>
+bool for_each_lane(const sim::LaneArray& lanes, F&& f) {
+  const std::uint64_t mask = lanes.active_mask();
+  if ((mask & (mask + 1)) == 0) {
+    const int n = std::popcount(mask);
+    for (int l = 0; l < n; ++l)
+      if (!f(l)) return false;
+    return true;
+  }
+  for (std::uint64_t m = mask; m != 0; m &= m - 1)
+    if (!f(std::countr_zero(m))) return false;
+  return true;
+}
+
+/// Whether every active lane indexes [0, size).
+bool in_bounds(const sim::LaneArray& lanes, std::int64_t size) {
+  if (lanes.is_run())
+    return lanes[0] >= 0 && lanes[0] + lanes.active_count() <= size;
+  return for_each_lane(lanes,
+                       [&](int l) { return lanes[l] >= 0 && lanes[l] < size; });
+}
+
+/// Kernel-facing context that compiles one representative block's
+/// address stream instead of simulating it. Presents the same surface as
+/// sim::BlockCtx (the kernels are templated on the context), but:
 ///   - global accesses are recorded as base-relative runs / offset
 ///     tables and class-constant counters accumulate into const_delta;
 ///   - dataflow is shadowed (gld tags LaneValues with source element
 ///     indices, sst/sld move the tags through a shadow smem image, gst
 ///     emits copy pairs), producing the fused copy table;
-///   - texture loads return REAL offset data (their values feed later
-///     address computations) and record the touched lines.
+///   - texture loads record the touched lines;
+///   - every access is also forwarded to `truth`, a real count-only
+///     BlockCtx that counts the block on its own and returns the REAL
+///     offset data texture loads must yield (their values feed later
+///     address computations). Its counters and texture log are the
+///     ground truth the finished program's replay is checked against,
+///     captured in the same kernel pass.
+/// Without `ref` the context builds the class program (the class's first
+/// representative). With `ref` it checks the global accesses, offset
+/// tables and copy pairs against the first representative's program as
+/// they are produced and stops at the first divergence: two
+/// representatives of one class must record identical programs (the
+/// class-invariance obligation), since everything stored is base-relative
+/// or class-invariant. The rest of the program, the counter delta and the
+/// texture lines, is not re-derived for later representatives: the
+/// self-check replays the first representative's program against every
+/// representative's own ground truth, which demands exactly that
+/// equality.
 /// Any access the shadow cannot explain (out-of-range smem index, a
-/// store of untagged values, an unexpected buffer) flips ok() to false
-/// and the plan stays generic.
+/// store of untagged values, an unexpected buffer), or a divergence from
+/// `ref`, flips ok() to false; recording and forwarding stop there and
+/// the plan stays generic.
 class RecordingCtx {
  public:
   RecordingCtx(std::int64_t block_id, int block_threads,
                const sim::DeviceProperties& props, std::int64_t smem_elems,
-               std::int64_t blk_in_base, std::int64_t blk_out_base)
+               std::int64_t blk_in_base, std::int64_t blk_out_base,
+               std::vector<std::int64_t>& shadow, const ClassProgram* ref,
+               sim::BlockCtx& truth)
       : block_id_(block_id),
         block_threads_(block_threads),
         props_(props),
         smem_elems_(smem_elems),
         blk_in_base_(blk_in_base),
         blk_out_base_(blk_out_base),
-        shadow_(static_cast<std::size_t>(smem_elems), -1) {}
+        shadow_(shadow),
+        ref_(ref),
+        truth_(truth) {
+    shadow_.assign(static_cast<std::size_t>(smem_elems), -1);
+  }
 
   std::int64_t block_id() const { return block_id_; }
   int block_dim() const { return block_threads_; }
@@ -97,11 +178,28 @@ class RecordingCtx {
   const sim::DeviceProperties& props() const { return props_; }
   sim::ExecMode mode() const { return sim::ExecMode::kCountOnly; }
 
-  void sync() { ++prog_.const_delta.barriers; }
-  void count_special(std::int64_t n) { prog_.const_delta.special_ops += n; }
-  void count_fma(std::int64_t n) { prog_.const_delta.fma_ops += n; }
+  void sync() {
+    ++prog_.const_delta.barriers;
+    truth_.sync();
+  }
+  void count_special(std::int64_t n) {
+    prog_.const_delta.special_ops += n;
+    truth_.count_special(n);
+  }
+  void count_fma(std::int64_t n) {
+    prog_.const_delta.fma_ops += n;
+    truth_.count_fma(n);
+  }
 
-  bool ok() const { return ok_; }
+  /// Close the recording. Checking against `ref` also demands that the
+  /// whole reference was reproduced.
+  bool finish() {
+    if (ok_ && ref_ != nullptr) {
+      ok_ = gop_i_ == ref_->gops.size() && copy_i_ == ref_->copy_dst.size();
+    }
+    return ok_;
+  }
+
   ClassProgram take_program() {
     prog_.present = true;
     return std::move(prog_);
@@ -111,7 +209,7 @@ class RecordingCtx {
   void gld(const sim::DeviceBuffer<T>& buf, const sim::LaneArray& lanes,
            sim::LaneValues<T>& vals) {
     const int active = lanes.active_count();
-    if (active == 0) return;
+    if (!ok_ || active == 0) return;
     if (buf.base_addr() != kRecInBase) {
       // Only identity-epilogue plans specialize, so the sole global
       // load target is the input buffer (no beta read-back of out).
@@ -121,20 +219,26 @@ class RecordingCtx {
     record_gop(true, lanes, blk_in_base_, sizeof(T));
     prog_.const_delta.payload_bytes +=
         static_cast<std::int64_t>(active) * static_cast<std::int64_t>(sizeof(T));
-    vals.fill(T{});
-    auto& src = src_of_[&vals];
-    src.fill(-1);
-    for (std::uint64_t m = lanes.active_mask(); m != 0; m &= m - 1) {
-      const int l = std::countr_zero(m);
-      src[static_cast<std::size_t>(l)] = lanes[l] - blk_in_base_;
+    Tags& src = tags_of(&vals);
+    if (lanes.is_run()) {
+      const std::int64_t s0 = lanes[0] - blk_in_base_;
+      for (int l = 0; l < active; ++l) src[static_cast<std::size_t>(l)] = s0 + l;
+      std::fill(src.begin() + active, src.end(), -1);
+    } else {
+      src.fill(-1);
+      for_each_lane(lanes, [&](int l) {
+        src[static_cast<std::size_t>(l)] = lanes[l] - blk_in_base_;
+        return true;
+      });
     }
+    truth_.gld(buf, lanes, vals);
   }
 
   template <class T>
   void gst(sim::DeviceBuffer<T> buf, const sim::LaneArray& lanes,
            const sim::LaneValues<T>& vals) {
     const int active = lanes.active_count();
-    if (active == 0) return;
+    if (!ok_ || active == 0) return;
     if (buf.base_addr() != kRecOutBase) {
       ok_ = false;
       return;
@@ -142,118 +246,215 @@ class RecordingCtx {
     record_gop(false, lanes, blk_out_base_, sizeof(T));
     prog_.const_delta.payload_bytes +=
         static_cast<std::int64_t>(active) * static_cast<std::int64_t>(sizeof(T));
-    const auto it = src_of_.find(&vals);
-    for (std::uint64_t m = lanes.active_mask(); m != 0; m &= m - 1) {
-      const int l = std::countr_zero(m);
-      const std::int64_t src =
-          it == src_of_.end() ? -1 : it->second[static_cast<std::size_t>(l)];
-      if (src == -1) {
-        // Storing a value whose provenance the shadow lost: cannot
-        // compile a copy table for this plan.
-        ok_ = false;
-        return;
-      }
-      prog_.copy_dst.push_back(lanes[l] - blk_out_base_);
-      prog_.copy_src.push_back(src);
+    // A store of a value whose provenance the shadow lost (untagged)
+    // cannot be compiled into a copy table.
+    const Tags* src = find_tags(&vals);
+    if (src == nullptr) {
+      ok_ = false;
+      return;
     }
+    std::int64_t dst[kWarpSize], from[kWarpSize];
+    int n = 0;
+    for_each_lane(lanes, [&](int l) {
+      dst[n] = lanes[l] - blk_out_base_;
+      from[n++] = (*src)[static_cast<std::size_t>(l)];
+      return true;
+    });
+    ok_ = std::find(from, from + n, -1) == from + n && put_copies(dst, from, n);
+    if (ok_) truth_.gst(buf, lanes, vals);
   }
 
   template <class T>
   void tld(const sim::DeviceBuffer<T>& buf, const sim::LaneArray& lanes,
            sim::LaneValues<T>& vals) {
-    if (!lanes.any_active()) return;
-    std::int64_t lines[kWarpSize];
-    const int nlines = sim::collect_tex_lines(lanes, buf.base_addr(), sizeof(T),
-                                              props_.tex_line_bytes, lines);
-    prog_.const_delta.tex_transactions += nlines;
-    for (int s = 0; s < nlines; ++s) prog_.tex_lines.push_back(lines[s]);
-    // Offset values feed later address computations: return real data.
-    vals.fill(T{});
-    if (!buf.valid()) {
-      ok_ = false;
-      return;
+    if (!ok_ || !lanes.any_active()) return;
+    if (ref_ == nullptr) {
+      std::int64_t lines[kWarpSize];
+      const int nlines = sim::collect_tex_lines(
+          lanes, buf.base_addr(), sizeof(T), props_.tex_line_bytes, lines);
+      prog_.const_delta.tex_transactions += nlines;
+      prog_.tex_lines.insert(prog_.tex_lines.end(), lines, lines + nlines);
     }
-    for (std::uint64_t m = lanes.active_mask(); m != 0; m &= m - 1) {
-      const int l = std::countr_zero(m);
-      const std::int64_t a = lanes[l];
-      if (a < 0 || a >= buf.size()) {
-        ok_ = false;
-        return;
-      }
-      vals[static_cast<std::size_t>(l)] = buf[a];
-    }
+    // Offset values feed later address computations, so they must be
+    // real data: the ground-truth context loads them. It asserts the
+    // bounds, so they are checked here first.
+    ok_ = buf.valid() && in_bounds(lanes, buf.size());
+    if (ok_) truth_.tld(buf, lanes, vals);
   }
 
   template <class T>
   void sld(const sim::LaneArray& lanes, sim::LaneValues<T>& vals) {
-    if (!lanes.any_active()) return;
-    ++prog_.const_delta.smem_load_ops;
-    prog_.const_delta.smem_bank_conflicts +=
-        sim::count_bank_conflicts(lanes, props_.shared_banks);
-    vals.fill(T{});
-    auto& src = src_of_[&vals];
-    src.fill(-1);
-    for (std::uint64_t m = lanes.active_mask(); m != 0; m &= m - 1) {
-      const int l = std::countr_zero(m);
-      const std::int64_t a = lanes[l];
-      if (a < 0 || a >= smem_elems_) {
-        ok_ = false;
-        return;
-      }
-      src[static_cast<std::size_t>(l)] = shadow_[static_cast<std::size_t>(a)];
+    if (!ok_ || !lanes.any_active()) return;
+    if (!smem_op(lanes, prog_.const_delta.smem_load_ops)) {
+      ok_ = false;
+      return;
     }
+    Tags& src = tags_of(&vals);
+    if (lanes.is_run()) {
+      const int n = lanes.active_count();
+      std::copy_n(shadow_.begin() + lanes[0], n, src.begin());
+      std::fill(src.begin() + n, src.end(), -1);
+    } else {
+      src.fill(-1);
+      for_each_lane(lanes, [&](int l) {
+        src[static_cast<std::size_t>(l)] =
+            shadow_[static_cast<std::size_t>(lanes[l])];
+        return true;
+      });
+    }
+    truth_.sld(lanes, vals);
   }
 
   template <class T>
   void sst(const sim::LaneArray& lanes, const sim::LaneValues<T>& vals) {
-    if (!lanes.any_active()) return;
-    ++prog_.const_delta.smem_store_ops;
-    prog_.const_delta.smem_bank_conflicts +=
-        sim::count_bank_conflicts(lanes, props_.shared_banks);
-    const auto it = src_of_.find(&vals);
-    for (std::uint64_t m = lanes.active_mask(); m != 0; m &= m - 1) {
-      const int l = std::countr_zero(m);
-      const std::int64_t a = lanes[l];
-      if (a < 0 || a >= smem_elems_) {
-        ok_ = false;
-        return;
-      }
-      shadow_[static_cast<std::size_t>(a)] =
-          it == src_of_.end() ? -1 : it->second[static_cast<std::size_t>(l)];
+    if (!ok_ || !lanes.any_active()) return;
+    if (!smem_op(lanes, prog_.const_delta.smem_store_ops)) {
+      ok_ = false;
+      return;
     }
+    const Tags* src = find_tags(&vals);
+    if (lanes.is_run() && src != nullptr) {
+      std::copy_n(src->begin(), lanes.active_count(),
+                  shadow_.begin() + lanes[0]);
+    } else {
+      for_each_lane(lanes, [&](int l) {
+        shadow_[static_cast<std::size_t>(lanes[l])] =
+            src == nullptr ? -1 : (*src)[static_cast<std::size_t>(l)];
+        return true;
+      });
+    }
+    truth_.sst(lanes, vals);
   }
 
  private:
+  using Tags = std::array<std::int64_t, kWarpSize>;
+
+  /// Source tags for an in-flight LaneValues, keyed by object address.
+  /// Recording is strictly sequential, so stack-slot reuse is safe: every
+  /// store is preceded by the load that (re)tags its operand. A kernel
+  /// keeps only a handful of LaneValues live, so a flat list beats any
+  /// map.
+  Tags& tags_of(const void* key) {
+    for (TaggedValues& t : tags_)
+      if (t.key == key) return t.src;
+    tags_.push_back({key, {}});
+    return tags_.back().src;
+  }
+  const Tags* find_tags(const void* key) const {
+    for (const TaggedValues& t : tags_)
+      if (t.key == key) return &t.src;
+    return nullptr;
+  }
+
+  /// Bounds-check one shared-memory access and, when recording, charge
+  /// it: one op into `ops` plus its bank conflicts.
+  bool smem_op(const sim::LaneArray& lanes, std::int64_t& ops) {
+    if (!in_bounds(lanes, smem_elems_)) return false;
+    if (ref_ == nullptr) {
+      ++ops;
+      prog_.const_delta.smem_bank_conflicts +=
+          sim::count_bank_conflicts(lanes, props_.shared_banks);
+    }
+    return true;
+  }
+
   /// Classify and record one global access. Transaction counts are NOT
   /// recorded — they depend on the block base, so execution recomputes
   /// them per block from the run/offset shape in closed form.
   void record_gop(bool is_load, const sim::LaneArray& lanes,
                   std::int64_t rel_base, std::int64_t elem_size) {
-    std::array<std::int64_t, kWarpSize> addrs;
-    int n = 0;
-    for (std::uint64_t m = lanes.active_mask(); m != 0; m &= m - 1)
-      addrs[static_cast<std::size_t>(n++)] = lanes[std::countr_zero(m)];
-    std::sort(addrs.begin(), addrs.begin() + n);
-    const int nu = static_cast<int>(
-        std::unique(addrs.begin(), addrs.begin() + n) - addrs.begin());
     SpecGlobalOp op;
     op.is_load = is_load;
+    if (lanes.is_run()) {
+      op.rel0 = lanes[0] - rel_base;
+      op.nlanes = lanes.active_count();
+      put_gop(op, nullptr);
+      return;
+    }
+    std::array<std::int64_t, kWarpSize> addrs{};
+    int n = 0;
+    bool ascending = true;
+    bool consecutive = true;
+    for_each_lane(lanes, [&](int l) {
+      const std::int64_t a = lanes[l];
+      if (n > 0) {
+        ascending = ascending && addrs[static_cast<std::size_t>(n - 1)] <= a;
+        consecutive = consecutive && a == addrs[0] + n;
+      }
+      addrs[static_cast<std::size_t>(n++)] = a;
+      return true;
+    });
+    if (consecutive) {
+      // Lanes hold a0, a0+1, ... in lane order: a run without sorting.
+      op.rel0 = addrs[0] - rel_base;
+      op.nlanes = n;
+      put_gop(op, nullptr);
+      return;
+    }
+    if (!ascending) std::sort(addrs.begin(), addrs.begin() + n);
+    const int nu = static_cast<int>(
+        std::unique(addrs.begin(), addrs.begin() + n) - addrs.begin());
     op.nlanes = nu;
     // Transaction counts are functions of the address SET, so a sorted
     // consecutive range is "a run" regardless of lane order.
     if (addrs[static_cast<std::size_t>(nu - 1)] - addrs[0] + 1 == nu) {
-      op.is_run = true;
       op.rel0 = addrs[0] - rel_base;
-    } else {
-      op.is_run = false;
-      op.delta_off = static_cast<std::int32_t>(prog_.byte_deltas.size());
-      op.delta_len = nu;
-      for (int i = 0; i < nu; ++i)
-        prog_.byte_deltas.push_back(
-            (addrs[static_cast<std::size_t>(i)] - rel_base) * elem_size);
+      put_gop(op, nullptr);
+      return;
     }
-    prog_.gops.push_back(op);
+    op.is_run = false;
+    op.delta_len = nu;
+    for (int i = 0; i < nu; ++i) {
+      auto& a = addrs[static_cast<std::size_t>(i)];
+      a = (a - rel_base) * elem_size;
+    }
+    put_gop(op, addrs.data());
   }
+
+  /// Append (or check) one global op; `deltas` holds the byte offsets of
+  /// a scattered op.
+  void put_gop(SpecGlobalOp op, const std::int64_t* deltas) {
+    if (!op.is_run) {
+      op.delta_off = static_cast<std::int32_t>(ndeltas_);
+      ndeltas_ += op.delta_len;
+    }
+    if (ref_ == nullptr) {
+      prog_.gops.push_back(op);
+      if (!op.is_run)
+        prog_.byte_deltas.insert(prog_.byte_deltas.end(), deltas,
+                                 deltas + op.delta_len);
+      return;
+    }
+    // Equal ops share delta_off/delta_len, so the slice is in range.
+    if (gop_i_ >= ref_->gops.size() || !gops_equal(op, ref_->gops[gop_i_++]) ||
+        (!op.is_run &&
+         !std::equal(deltas, deltas + op.delta_len,
+                     ref_->byte_deltas.begin() + op.delta_off)))
+      ok_ = false;
+  }
+
+  /// Append (or check) the copy pairs out[dst[i]] = in[src[i]] of one
+  /// warp store. False on a divergence from `ref`.
+  bool put_copies(const std::int64_t* dst, const std::int64_t* src, int n) {
+    if (ref_ == nullptr) {
+      prog_.copy_dst.insert(prog_.copy_dst.end(), dst, dst + n);
+      prog_.copy_src.insert(prog_.copy_src.end(), src, src + n);
+      return true;
+    }
+    if (copy_i_ + static_cast<std::size_t>(n) > ref_->copy_dst.size())
+      return false;
+    const std::int64_t* rd = ref_->copy_dst.data() + copy_i_;
+    const std::int64_t* rs = ref_->copy_src.data() + copy_i_;
+    copy_i_ += static_cast<std::size_t>(n);
+    bool same = true;
+    for (int i = 0; i < n; ++i) same &= (rd[i] == dst[i]) & (rs[i] == src[i]);
+    return same;
+  }
+
+  struct TaggedValues {
+    const void* key;
+    Tags src;
+  };
 
   std::int64_t block_id_;
   int block_threads_;
@@ -261,14 +462,18 @@ class RecordingCtx {
   std::int64_t smem_elems_;
   std::int64_t blk_in_base_;
   std::int64_t blk_out_base_;
-  ClassProgram prog_;
   /// Shadow smem: source element index (into the input) currently held
   /// by each shared slot, or -1 for untagged.
-  std::vector<std::int64_t> shadow_;
-  /// Source tags for in-flight LaneValues, keyed by object address.
-  /// Recording is strictly sequential, so stack-slot reuse is safe:
-  /// every store is preceded by the load that (re)tags its operand.
-  std::unordered_map<const void*, std::array<std::int64_t, kWarpSize>> src_of_;
+  std::vector<std::int64_t>& shadow_;
+  const ClassProgram* ref_;
+  sim::BlockCtx& truth_;
+  /// The program being built (unused with `ref`).
+  ClassProgram prog_;
+  std::vector<TaggedValues> tags_;
+  std::int64_t ndeltas_ = 0;
+  /// Read positions in `ref` (gops, copy pairs).
+  std::size_t gop_i_ = 0;
+  std::size_t copy_i_ = 0;
   bool ok_ = true;
 };
 
@@ -354,37 +559,6 @@ void run_generic_block(const SpecBuildInput& bi, Ctx& ctx) {
   }
 }
 
-bool counters_equal(const sim::LaunchCounters& a, const sim::LaunchCounters& b) {
-  return a.gld_transactions == b.gld_transactions &&
-         a.gst_transactions == b.gst_transactions &&
-         a.smem_load_ops == b.smem_load_ops &&
-         a.smem_store_ops == b.smem_store_ops &&
-         a.smem_bank_conflicts == b.smem_bank_conflicts &&
-         a.tex_transactions == b.tex_transactions &&
-         a.tex_misses == b.tex_misses && a.special_ops == b.special_ops &&
-         a.fma_ops == b.fma_ops && a.barriers == b.barriers &&
-         a.payload_bytes == b.payload_bytes;
-}
-
-bool gops_equal(const SpecGlobalOp& a, const SpecGlobalOp& b) {
-  return a.is_load == b.is_load && a.is_run == b.is_run && a.rel0 == b.rel0 &&
-         a.nlanes == b.nlanes && a.delta_off == b.delta_off &&
-         a.delta_len == b.delta_len;
-}
-
-/// Exact equality of two recorded programs. Everything stored is either
-/// base-relative or class-invariant, so two representative blocks of
-/// the same class must record identical programs — this is the
-/// class-invariance proof obligation.
-bool programs_equal(const ClassProgram& a, const ClassProgram& b) {
-  if (!counters_equal(a.const_delta, b.const_delta)) return false;
-  if (a.gops.size() != b.gops.size()) return false;
-  for (std::size_t i = 0; i < a.gops.size(); ++i)
-    if (!gops_equal(a.gops[i], b.gops[i])) return false;
-  return a.byte_deltas == b.byte_deltas && a.tex_lines == b.tex_lines &&
-         a.copy_dst == b.copy_dst && a.copy_src == b.copy_src;
-}
-
 /// Per-block transaction replay used by the build-time self-check (the
 /// execution path in spec_exec.hpp carries the same arithmetic).
 sim::LaunchCounters replay_counters(const SpecProgram& prog,
@@ -409,57 +583,50 @@ sim::LaunchCounters replay_counters(const SpecProgram& prog,
   return c;
 }
 
-std::vector<std::int32_t> build_phase_table(const ClassProgram& cp,
-                                            bool loads, int elem_size,
-                                            std::int64_t txn) {
-  bool any = false;
-  for (const SpecGlobalOp& op : cp.gops) any = any || op.is_load == loads;
-  if (!any) return {};
-  std::vector<std::int32_t> table(static_cast<std::size_t>(txn), 0);
-  for (std::int64_t p = 0; p < txn; ++p) {
-    std::int64_t sum = 0;
-    for (const SpecGlobalOp& op : cp.gops) {
-      if (op.is_load != loads) continue;
-      std::int64_t ph = (p + op.rel0 * elem_size) % txn;
-      if (ph < 0) ph += txn;
-      sum += txns_for_run_at_phase(ph, op.nlanes, elem_size, txn);
-    }
-    table[static_cast<std::size_t>(p)] = static_cast<std::int32_t>(sum);
-  }
-  return table;
+/// Phase table over one direction's accesses of an affine class; empty
+/// when the class has no access in that direction.
+std::vector<std::int32_t> phase_table(const ClassProgram& cp, bool loads,
+                                      int elem_size, std::int64_t txn) {
+  std::vector<RunAccess> runs;
+  for (const SpecGlobalOp& op : cp.gops)
+    if (op.is_load == loads) runs.push_back({op.rel0, op.nlanes});
+  return build_phase_table(runs, elem_size, txn);
 }
 
-/// Compress the elementwise copy table into (dst, src, n) segments and
-/// compute the bounds. The segment form wins only when segments are
-/// long enough that the per-segment overhead beats per-element indexing.
+/// Compute the copy table's bounds and compress it into (dst, src, n)
+/// segments when they are long enough that the per-segment overhead
+/// beats per-element indexing (runs*8 <= n). One pass counts the
+/// segments and the bounds; the segment table is built only when kept.
 void compress_copies(ClassProgram& cp) {
   const std::size_t n = cp.copy_dst.size();
   if (n == 0) return;
-  cp.min_src = cp.max_src = cp.copy_src[0];
-  cp.min_dst = cp.max_dst = cp.copy_dst[0];
+  const std::int64_t* dst = cp.copy_dst.data();
+  const std::int64_t* src = cp.copy_src.data();
+  std::size_t runs = 1;
+  cp.min_src = cp.max_src = src[0];
+  cp.min_dst = cp.max_dst = dst[0];
   for (std::size_t i = 1; i < n; ++i) {
-    cp.min_src = std::min(cp.min_src, cp.copy_src[i]);
-    cp.max_src = std::max(cp.max_src, cp.copy_src[i]);
-    cp.min_dst = std::min(cp.min_dst, cp.copy_dst[i]);
-    cp.max_dst = std::max(cp.max_dst, cp.copy_dst[i]);
+    runs += (dst[i] != dst[i - 1] + 1) | (src[i] != src[i - 1] + 1);
+    cp.min_src = std::min(cp.min_src, src[i]);
+    cp.max_src = std::max(cp.max_src, src[i]);
+    cp.min_dst = std::min(cp.min_dst, dst[i]);
+    cp.max_dst = std::max(cp.max_dst, dst[i]);
   }
-  std::vector<SpecRunCopy> runs;
-  SpecRunCopy cur{cp.copy_dst[0], cp.copy_src[0], 1};
+  cp.use_run_copies = runs * 8 <= n;
+  if (!cp.use_run_copies) return;
+  cp.run_copies.reserve(runs);
+  SpecRunCopy cur{dst[0], src[0], 1};
   for (std::size_t i = 1; i < n; ++i) {
-    if (cp.copy_dst[i] == cur.dst0 + cur.n && cp.copy_src[i] == cur.src0 + cur.n) {
+    if (dst[i] == cur.dst0 + cur.n && src[i] == cur.src0 + cur.n) {
       ++cur.n;
     } else {
-      runs.push_back(cur);
-      cur = SpecRunCopy{cp.copy_dst[i], cp.copy_src[i], 1};
+      cp.run_copies.push_back(cur);
+      cur = SpecRunCopy{dst[i], src[i], 1};
     }
   }
-  runs.push_back(cur);
-  cp.use_run_copies = runs.size() * 8 <= n;
-  if (cp.use_run_copies) {
-    cp.run_copies = std::move(runs);
-    cp.copy_dst = {};
-    cp.copy_src = {};
-  }
+  cp.run_copies.push_back(cur);
+  cp.copy_dst = {};
+  cp.copy_src = {};
 }
 
 /// Representative block ids for class c (1-3 blocks): first match, a
@@ -491,45 +658,56 @@ std::vector<Index> class_rep_bids(int c, const SpecProgram& p, Index s0,
   return out;
 }
 
+/// Ground truth for one representative block: what a real count-only
+/// BlockCtx counted for it, and its texture-line log.
+struct RepTruth {
+  GridEntry entry;
+  sim::LaunchCounters ctr;
+  std::vector<std::int64_t> tex_log;
+};
+
+/// One generic-kernel pass over representative `bid`: records the class
+/// program into `*out` (no `ref`) or checks it against `ref`, and fills
+/// `truth`. False when the block is untraceable or diverges from `ref`.
 template <class T>
-ClassProgram record_block(const SpecBuildInput& bi, Index bid, bool* ok) {
-  const GridDecoder& dec = decoder_for(*bi.sel);
-  const GridEntry e = dec.decode(bid);
-  RecordingCtx rc(bid, block_threads_for(*bi.sel), *bi.props,
-                  smem_elems_for(*bi.sel), e.in_base, e.out_base);
+bool record_rep(const SpecBuildInput& bi, Index bid, const ClassProgram* ref,
+                ClassProgram* out, RepTruth& truth,
+                std::vector<std::int64_t>& shadow, sim::TextureCache& tex) {
+  const KernelSelection& sel = *bi.sel;
+  truth.entry = decoder_for(sel).decode(bid);
+  const int threads = block_threads_for(sel);
+  const std::int64_t smem = smem_elems_for(sel);
+  // Texture record-and-replay mode: the block's line touches go to the
+  // log, the cache itself is never probed.
+  if (ref != nullptr) truth.tex_log.reserve(ref->tex_lines.size());
+  sim::BlockCtx blk(bid, threads, sim::ExecMode::kCountOnly, *bi.props,
+                    truth.ctr, nullptr, smem, tex, &truth.tex_log, nullptr);
+  RecordingCtx rc(bid, threads, *bi.props, smem, truth.entry.in_base,
+                  truth.entry.out_base, shadow, ref, blk);
   run_generic_block<T>(bi, rc);
-  *ok = rc.ok();
-  return rc.take_program();
+  truth.ctr.grid_blocks = 0;
+  if (!rc.finish()) return false;
+  if (out != nullptr) *out = rc.take_program();
+  return true;
 }
 
-/// Ground-truth check: run the GENERIC kernel for one block through a
-/// real count-only BlockCtx (texture record-and-replay mode) and demand
-/// the program replay reproduces its counters and texture-line sequence
-/// exactly. For affine classes the phase tables must agree with the
-/// per-op replay as well.
-template <class T>
-bool self_check_block(const SpecBuildInput& bi, const SpecProgram& prog,
-                      Index bid) {
-  const GridDecoder& dec = decoder_for(*bi.sel);
-  const GridEntry e = dec.decode(bid);
+/// Ground-truth check: the finished program's replay for a representative
+/// must reproduce exactly the counters and texture-line sequence the
+/// generic kernel produced for it on a real count-only BlockCtx. For
+/// affine classes the phase tables must agree with the per-op replay as
+/// well.
+bool self_check(const SpecProgram& prog, const RepTruth& t,
+                const sim::DeviceProperties& props) {
+  const GridEntry& e = t.entry;
   const ClassProgram& cp = prog.cls[prog.class_of(e)];
   if (!cp.present) return false;
 
-  sim::LaunchCounters ref;
-  sim::TextureCache scratch(bi.props->tex_cache_lines, bi.props->tex_line_bytes);
-  std::vector<std::int64_t> ref_log;
-  sim::BlockCtx blk(bid, block_threads_for(*bi.sel), sim::ExecMode::kCountOnly,
-                    *bi.props, ref, nullptr, smem_elems_for(*bi.sel), scratch,
-                    &ref_log, nullptr);
-  run_generic_block<T>(bi, blk);
-  ref.grid_blocks = 0;
-
   const sim::LaunchCounters got = replay_counters(prog, cp, e);
-  if (!counters_equal(ref, got)) return false;
+  if (!counters_equal(t.ctr, got)) return false;
 
-  if (ref_log.size() != cp.tex_lines.size()) return false;
-  for (std::size_t i = 0; i < ref_log.size(); ++i) {
-    if (ref_log[i] != cp.tex_lines[i] * bi.props->tex_line_bytes) return false;
+  if (t.tex_log.size() != cp.tex_lines.size()) return false;
+  for (std::size_t i = 0; i < t.tex_log.size(); ++i) {
+    if (t.tex_log[i] != cp.tex_lines[i] * props.tex_line_bytes) return false;
   }
 
   if (cp.affine && !(cp.gld_phase.empty() && cp.gst_phase.empty())) {
@@ -591,62 +769,60 @@ std::shared_ptr<const SpecProgram> build_impl(const SpecBuildInput& bi) {
   const Index s1 = dec.slots() >= 2 ? dec.slot_extent(1) : 1;
   if (s0 != prog->a_chunks || s1 != prog->b_chunks || grid <= 0 ||
       grid % (s0 * s1) != 0) {
-    count_reject("layout");
+    count_reject(Reject::kLayout);
     return nullptr;
   }
   const Index outer = grid / (s0 * s1);
 
+  // One kernel pass per representative: the first records the class
+  // program, later ones are checked against it, and every pass captures
+  // the ground truth for the self-check below.
+  std::vector<RepTruth> truths;
+  std::vector<std::int64_t> shadow;
+  // The ground-truth contexts log their texture lines instead of probing
+  // a cache, so a one-line cache only supplies the line size.
+  sim::TextureCache tex(1, bi.props->tex_line_bytes);
   bool all_affine = true;
   for (int c = 0; c < 4; ++c) {
     const auto reps = class_rep_bids(c, *prog, s0, s1, outer);
     if (reps.empty()) continue;
-    bool ok = false;
-    ClassProgram first = record_block<T>(bi, reps[0], &ok);
-    if (!ok) {
-      count_reject("untraceable");
-      return nullptr;
-    }
-    for (std::size_t r = 1; r < reps.size(); ++r) {
-      const ClassProgram other = record_block<T>(bi, reps[r], &ok);
-      if (!ok || !programs_equal(first, other)) {
-        count_reject("class_mismatch");
+    ClassProgram& cp = prog->cls[c];
+    for (std::size_t r = 0; r < reps.size(); ++r) {
+      const bool first = r == 0;
+      if (!record_rep<T>(bi, reps[r], first ? nullptr : &cp,
+                         first ? &cp : nullptr, truths.emplace_back(), shadow,
+                         tex)) {
+        count_reject(first ? Reject::kUntraceable : Reject::kClassMismatch);
         return nullptr;
       }
     }
-    first.affine = true;
-    for (const SpecGlobalOp& op : first.gops)
-      first.affine = first.affine && op.is_run;
-    all_affine = all_affine && first.affine;
-    prog->cls[c] = std::move(first);
+    cp.affine = std::all_of(cp.gops.begin(), cp.gops.end(),
+                            [](const SpecGlobalOp& op) { return op.is_run; });
+    all_affine = all_affine && cp.affine;
   }
 
   const bool txn_pow2 =
       prog->txn_bytes > 0 && prog->txn_bytes <= 4096 &&
       std::has_single_bit(static_cast<std::uint64_t>(prog->txn_bytes));
-  if (all_affine && txn_pow2) {
-    for (ClassProgram& cp : prog->cls) {
-      if (!cp.present) continue;
-      cp.gld_phase = build_phase_table(cp, true, prog->elem_size, prog->txn_bytes);
-      cp.gst_phase = build_phase_table(cp, false, prog->elem_size, prog->txn_bytes);
-    }
-  }
   for (ClassProgram& cp : prog->cls) {
-    if (cp.present) compress_copies(cp);
+    if (!cp.present) continue;
+    if (all_affine && txn_pow2) {
+      cp.gld_phase = phase_table(cp, true, prog->elem_size, prog->txn_bytes);
+      cp.gst_phase = phase_table(cp, false, prog->elem_size, prog->txn_bytes);
+    }
+    compress_copies(cp);
   }
 
   if (prog->footprint_bytes() > kSpecProgramMaxBytes) {
-    count_reject("footprint");
+    count_reject(Reject::kFootprint);
     return nullptr;
   }
 
   // Ground-truth self-check on every class representative.
-  for (int c = 0; c < 4; ++c) {
-    if (!prog->cls[c].present) continue;
-    for (Index bid : class_rep_bids(c, *prog, s0, s1, outer)) {
-      if (!self_check_block<T>(bi, *prog, bid)) {
-        count_reject("self_check");
-        return nullptr;
-      }
+  for (const RepTruth& t : truths) {
+    if (!self_check(*prog, t, *bi.props)) {
+      count_reject(Reject::kSelfCheck);
+      return nullptr;
     }
   }
 
@@ -671,7 +847,7 @@ std::shared_ptr<const SpecProgram> build_spec_program(const SpecBuildInput& in) 
     case 4: return build_impl<float>(in);
     case 8: return build_impl<double>(in);
     default:
-      count_reject("width");
+      count_reject(Reject::kWidth);
       return nullptr;
   }
 }

@@ -22,11 +22,13 @@
 //
 // The compiler VERIFIES itself before a program is accepted: programs
 // recorded from distinct representative blocks of a class must match
-// exactly, and a replay is checked against a real count-only BlockCtx
-// run of the generic kernel. Any mismatch — or an untraceable dataflow,
-// or a program too big to amortize — degrades the plan to the generic
-// per-lane path (tier kGeneric), mirroring the kGridTableMaxBlocks
-// fallback policy.
+// exactly, and the finished program's replay for every representative is
+// checked against a real count-only BlockCtx run of the generic kernel.
+// Each representative takes ONE kernel pass that feeds both the recorder
+// and that BlockCtx, which counts on its own. Any mismatch — or an
+// untraceable dataflow, or a program too big to amortize — degrades the
+// plan to the generic per-lane path (tier kGeneric), mirroring the
+// kGridTableMaxBlocks fallback policy.
 #pragma once
 
 #include <cstdint>

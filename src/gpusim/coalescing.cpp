@@ -50,10 +50,29 @@ int count_transactions(const LaneArray& lanes, std::int64_t base_addr,
     }
     return static_cast<int>(b1 / txn_bytes - b0 / txn_bytes + 1);
   }
-  std::int64_t segs[kWarpSize];
-  int nsegs = 0;
   const bool p2 = pow2(txn_bytes);
   const int sh = p2 ? shift_of(txn_bytes) : 0;
+  // Lanes in nondecreasing address order (gathers and scatters through
+  // monotone offset tables): a segment repeats only back to back, so one
+  // pass counts the distinct ones.
+  {
+    std::int64_t prev = -1;
+    int count = 0;
+    bool sorted = true;
+    for (std::uint64_t m = mask; m != 0; m &= m - 1) {
+      const std::int64_t addr = base_addr + lanes[std::countr_zero(m)] * elem_size;
+      const std::int64_t seg = p2 ? addr >> sh : addr / txn_bytes;
+      if (count > 0 && seg < prev) {
+        sorted = false;
+        break;
+      }
+      count += count == 0 || seg != prev;
+      prev = seg;
+    }
+    if (sorted) return count;
+  }
+  std::int64_t segs[kWarpSize];
+  int nsegs = 0;
   for (std::uint64_t m = mask; m != 0; m &= m - 1) {
     const int l = std::countr_zero(m);
     const std::int64_t addr = base_addr + lanes[l] * elem_size;
@@ -73,22 +92,20 @@ int count_transactions(const LaneArray& lanes, std::int64_t base_addr,
 int count_bank_conflicts(const LaneArray& lanes, int banks) {
   const std::uint64_t mask = lanes.active_mask();
   if (mask == 0) return 0;
-  // Fast path: consecutive addresses hit consecutive banks — never a
-  // conflict for a 32-lane warp on 32 banks.
+  // Fast path: when every active lane maps to its own bank nothing
+  // serializes — consecutive addresses, odd-pitch columns and padded
+  // tiles all land here. One bitmask pass over the banks settles it.
   if (banks == kWarpSize) {
     if (lanes.is_run()) return 0;
-    if (mask & 1) {
-      const std::int64_t a0 = lanes[0];
-      bool consecutive = true;
-      for (std::uint64_t m = mask & (mask - 1); m != 0; m &= m - 1) {
-        const int l = std::countr_zero(m);
-        if (lanes[l] != a0 + l) {
-          consecutive = false;
-          break;
-        }
-      }
-      if (consecutive) return 0;
+    std::uint64_t seen = 0;
+    bool distinct = true;
+    for (std::uint64_t m = mask; m != 0 && distinct; m &= m - 1) {
+      const std::uint64_t bit = std::uint64_t{1}
+                                << (lanes[std::countr_zero(m)] & (kWarpSize - 1));
+      distinct = (seen & bit) == 0;
+      seen |= bit;
     }
+    if (distinct) return 0;
   }
   // For each bank, count DISTINCT element addresses; identical addresses
   // broadcast. The access serializes into max-per-bank cycles.

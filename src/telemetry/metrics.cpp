@@ -124,6 +124,17 @@ void MetricsRegistry::clear() {
   counters_.clear();
   gauges_.clear();
   histograms_.clear();
+  generation_.fetch_add(1, std::memory_order_acq_rel);
+}
+
+Counter& CounterRef::get() {
+  const std::uint64_t g = reg_.generation();
+  if (gen_.load(std::memory_order_acquire) == g)
+    return *c_.load(std::memory_order_relaxed);
+  Counter* c = &reg_.counter(name_);
+  c_.store(c, std::memory_order_relaxed);
+  gen_.store(g, std::memory_order_release);
+  return *c;
 }
 
 Json MetricsRegistry::to_json() const {

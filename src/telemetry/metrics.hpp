@@ -104,7 +104,13 @@ class MetricsRegistry {
   std::vector<std::string> counter_names(const std::string& prefix = "") const;
 
   bool empty() const;
+  /// Drops every metric; handles obtained before are invalid afterwards.
   void clear();
+  /// Bumped by every clear(), so cached handles (CounterRef) can tell
+  /// that they must be resolved again.
+  std::uint64_t generation() const {
+    return generation_.load(std::memory_order_acquire);
+  }
 
   /// {"counters": {...}, "gauges": {...}, "histograms": {name:
   ///  {"bounds": [...], "counts": [...], "sum": s, "count": n}}}
@@ -122,6 +128,28 @@ class MetricsRegistry {
   // unique_ptr: Histogram owns atomics and cannot be moved into a map
   // node; the indirection also keeps handle stability explicit.
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  std::atomic<std::uint64_t> generation_{1};
+};
+
+/// A counter handle resolved once and then reused, for always-on call
+/// sites that would otherwise build the metric name and take the
+/// registry mutex on every event. Lock-free after the first use; it
+/// resolves again only after the registry was cleared. Like every
+/// handle, it must not be used concurrently with clear().
+class CounterRef {
+ public:
+  CounterRef(MetricsRegistry& reg, std::string name)
+      : reg_(reg), name_(std::move(name)) {}
+
+  Counter& get();
+  void inc(std::int64_t d = 1) { get().inc(d); }
+
+ private:
+  MetricsRegistry& reg_;
+  std::string name_;
+  std::atomic<Counter*> c_{nullptr};
+  /// Registry generation c_ was resolved in (0: not yet resolved).
+  std::atomic<std::uint64_t> gen_{0};
 };
 
 }  // namespace ttlg::telemetry

@@ -3,8 +3,10 @@
 // stay close on remainder-laden shapes.
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "core/analysis.hpp"
 #include "core/launch_helpers.hpp"
+#include "gpusim/coalescing.hpp"
 
 namespace ttlg {
 namespace {
@@ -34,6 +36,58 @@ TEST(Analysis, TxnsForRun) {
   EXPECT_EQ(txns_for_run(33, 4), 2);
   EXPECT_EQ(txns_for_run(1, 8), 1);
   EXPECT_EQ(txns_for_run(0, 8), 0);
+}
+
+/// Per-run reference for build_phase_table: every phase, every run.
+std::vector<std::int32_t> brute_force_phase_table(
+    const std::vector<RunAccess>& runs, int es, Index txn) {
+  std::vector<std::int32_t> table(static_cast<std::size_t>(txn), 0);
+  for (Index p = 0; p < txn; ++p) {
+    Index sum = 0;
+    for (const RunAccess& r : runs) {
+      Index ph = (p + r.rel0 * es) % txn;
+      if (ph < 0) ph += txn;
+      sum += txns_for_run_at_phase(ph, r.nlanes, es, txn);
+    }
+    table[static_cast<std::size_t>(p)] = static_cast<std::int32_t>(sum);
+  }
+  return table;
+}
+
+TEST(Analysis, PhaseTableMatchesPerRunSum) {
+  Rng rng(20260);
+  for (const Index txn : {Index{32}, Index{64}, Index{128}}) {
+    for (const int es : {1, 2, 4, 8}) {
+      for (int trial = 0; trial < 40; ++trial) {
+        std::vector<RunAccess> runs(rng.uniform(1, 300));
+        for (RunAccess& r : runs) {
+          r.rel0 = static_cast<Index>(rng.uniform(0, 20000)) - 10000;
+          r.nlanes = static_cast<Index>(rng.uniform(1, 32));
+        }
+        ASSERT_EQ(build_phase_table(runs, es, txn),
+                  brute_force_phase_table(runs, es, txn))
+            << "txn " << txn << " elem " << es << " trial " << trial;
+      }
+    }
+  }
+  EXPECT_TRUE(build_phase_table({}, 8, 128).empty());
+}
+
+TEST(Analysis, PhaseTableAgreesWithRunTransactionCount) {
+  // table[base % txn] is the transaction count the coalescer charges
+  // for the same runs at an absolute base address.
+  const std::vector<RunAccess> runs = {{-3, 32}, {0, 1}, {45, 17}, {7, 32}};
+  for (const int es : {1, 2, 4, 8}) {
+    const auto table = build_phase_table(runs, es, 128);
+    for (std::int64_t base = 4096; base < 4096 + 256; base += es) {
+      std::int64_t want = 0;
+      for (const RunAccess& r : runs)
+        want += sim::count_run_transactions(base + r.rel0 * es, r.nlanes, es,
+                                            128);
+      EXPECT_EQ(table[static_cast<std::size_t>(base % 128)], want)
+          << "elem " << es << " base " << base;
+    }
+  }
 }
 
 TEST(Analysis, OdExactOnPerfectShapes) {

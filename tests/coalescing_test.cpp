@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <numeric>
+#include <set>
 
+#include "common/rng.hpp"
 #include "gpusim/coalescing.hpp"
 
 namespace ttlg::sim {
@@ -95,6 +98,42 @@ TEST(BankConflicts, PartialWarpStride32) {
   LaneArray a;
   for (int l = 0; l < 8; ++l) a.set(l, l * 32);
   EXPECT_EQ(count_bank_conflicts(a, 32), 7);
+}
+
+// The closed forms and early exits must agree with the definitions on
+// arbitrary warps: distinct segments touched, and the largest number of
+// distinct addresses on one bank minus one. Addresses come from narrow
+// windows (so segments and banks collide) and are sorted for half the
+// warps (the monotone gather shape).
+TEST(Coalescing, MatchesDefinitionsOnRandomWarps) {
+  Rng rng(4242);
+  for (int trial = 0; trial < 4000; ++trial) {
+    LaneArray a;
+    const std::int64_t base = static_cast<std::int64_t>(rng.uniform(0, 4096)) - 2048;
+    const std::int64_t span = static_cast<std::int64_t>(rng.uniform(1, 600));
+    std::vector<std::int64_t> v(kWarpSize);
+    for (auto& x : v) x = base + static_cast<std::int64_t>(rng.uniform(0, span));
+    if (trial % 2 == 0) std::sort(v.begin(), v.end());
+    const std::uint64_t mask = trial % 3 == 0 ? 0xffffffffULL : rng();
+    for (int l = 0; l < kWarpSize; ++l)
+      if ((mask >> l) & 1) a.set(l, v[static_cast<std::size_t>(l)]);
+    if (!a.any_active()) continue;
+    for (const int es : {1, 4, 8}) {
+      std::set<std::int64_t> segs;
+      for (int l = 0; l < kWarpSize; ++l)
+        if (a.active(l)) segs.insert(((1 << 20) + a[l] * es) / 128);
+      EXPECT_EQ(count_transactions(a, 1 << 20, es, 128),
+                static_cast<int>(segs.size()))
+          << "trial " << trial << " elem " << es;
+    }
+    std::map<std::int64_t, std::set<std::int64_t>> per_bank;
+    for (int l = 0; l < kWarpSize; ++l)
+      if (a.active(l)) per_bank[((a[l] % 32) + 32) % 32].insert(a[l]);
+    std::size_t most = 0;
+    for (const auto& [bank, addrs] : per_bank) most = std::max(most, addrs.size());
+    EXPECT_EQ(count_bank_conflicts(a, 32), static_cast<int>(most) - 1)
+        << "trial " << trial;
+  }
 }
 
 class PaddingSweep : public ::testing::TestWithParam<int> {};

@@ -405,5 +405,47 @@ TEST(Specialization, CorruptedTierRecordIsDataLoss) {
   EXPECT_EQ(loaded.specialization_tier(), SpecTier::kGeneric);
 }
 
+// The compiler's rejection paths: each leaves the plan generic (no
+// program) and bumps its own plan.spec.reject.* counter. The inputs are
+// a real selection with one field made inconsistent.
+TEST(Specialization, RejectionsAreCountedPerReason) {
+  sim::Device dev;
+  PlanOptions opts;
+  opts.specialize = false;
+  const Plan plan = make_plan(dev, Shape({16, 16, 16, 16, 16, 16}),
+                              Permutation({5, 0, 2, 3, 4, 1}), opts);
+  ASSERT_EQ(plan.schema(), Schema::kOrthogonalDistinct);
+  auto& reg = telemetry::MetricsRegistry::global();
+  const auto build = [&](const TransposeProblem& problem,
+                         const KernelSelection& sel) {
+    SpecBuildInput in;
+    in.problem = &problem;
+    in.sel = &sel;
+    in.props = &dev.props();
+    return build_spec_program(in);
+  };
+  const auto expect_reject = [&](const char* reason,
+                                 const TransposeProblem& problem,
+                                 const KernelSelection& sel) {
+    const std::string name = std::string("plan.spec.reject.") + reason;
+    const std::int64_t before = reg.counter_value(name);
+    EXPECT_EQ(build(problem, sel), nullptr) << reason;
+    EXPECT_EQ(reg.counter_value(name), before + 1) << reason;
+  };
+  ASSERT_NE(build(plan.problem(), plan.selection()), nullptr);
+
+  KernelSelection bad_layout = plan.selection();
+  bad_layout.od.a_chunks += 1;  // no longer the grid's first slot
+  expect_reject("layout", plan.problem(), bad_layout);
+
+  KernelSelection no_offsets = plan.selection();
+  no_offsets.od.in_offset.clear();  // texture reads fall off the table
+  expect_reject("untraceable", plan.problem(), no_offsets);
+
+  TransposeProblem odd_width = plan.problem();
+  odd_width.elem_size = 3;
+  expect_reject("width", odd_width, plan.selection());
+}
+
 }  // namespace
 }  // namespace ttlg

@@ -115,6 +115,23 @@ TEST(MetricsRegistry, CountersGaugesHistograms) {
   EXPECT_TRUE(reg.empty());
 }
 
+TEST(MetricsRegistry, CounterRefResolvesOnceAndSurvivesClear) {
+  telemetry::MetricsRegistry reg;
+  telemetry::CounterRef ref(reg, "cached.counter");
+  EXPECT_EQ(reg.counter_value("cached.counter"), 0);
+  ref.inc();
+  ref.inc(2);
+  EXPECT_EQ(reg.counter_value("cached.counter"), 3);
+  EXPECT_EQ(&ref.get(), &reg.counter("cached.counter"));
+  // clear() drops the counter the handle points at; the handle must
+  // resolve the new one instead of writing through a dangling pointer.
+  reg.clear();
+  EXPECT_EQ(reg.counter_value("cached.counter"), 0);
+  ref.inc(5);
+  EXPECT_EQ(reg.counter_value("cached.counter"), 5);
+  EXPECT_EQ(&ref.get(), &reg.counter("cached.counter"));
+}
+
 TEST(MetricsRegistry, JsonExportRoundTrips) {
   telemetry::MetricsRegistry reg;
   reg.counter("x.count").inc(7);
