@@ -63,7 +63,7 @@ class GridDecoder {
   bool has_table() const { return !table_.empty(); }
 
   /// Extent of grid slot i (the FastDiv divisor). The specialization
-  /// builder cross-checks these against the kernel's chunk classifier
+  /// builder cross-checks these against the launch's ChunkClasses
   /// before trusting idx0/idx1-based block classes.
   Index slot_extent(std::size_t i) const { return divs_[i].divisor(); }
 

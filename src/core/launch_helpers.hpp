@@ -1,9 +1,10 @@
 // Launch wrappers shared by the TTLG plan and the baseline libraries:
-// they assemble the sim::LaunchConfig (including the block classifier
-// used for sampled counting) and dispatch the right kernel.
+// they assemble the sim::LaunchConfig (including the block classes used
+// for sampled counting) and dispatch the right kernel.
 #pragma once
 
 #include "core/kernels.hpp"
+#include "core/planner.hpp"
 #include "gpusim/device.hpp"
 
 namespace ttlg {
@@ -28,26 +29,10 @@ struct LaunchWindow {
   }
 };
 
-/// Classifier over the two chunked grid slots (slot 0 and slot 1):
-/// class = partial-A bit | partial-B bit. Called for every block of a
-/// sampled sweep, so the slot split is captured as FastDivs.
-inline std::function<std::int64_t(std::int64_t)> chunk_block_class(
-    Index a_chunks, Index a_rem, Index b_chunks, Index b_rem) {
-  const FastDiv a_div(a_chunks);
-  const FastDiv b_div(b_chunks);
-  return [=](std::int64_t bid) -> std::int64_t {
-    const DivMod am = a_div.divmod(bid);
-    const Index a = am.rem;
-    const Index b = b_div.mod(am.quot);
-    return (a_rem != 0 && a == a_chunks - 1 ? 1 : 0) +
-           (b_rem != 0 && b == b_chunks - 1 ? 2 : 0);
-  };
-}
-
 // Full-grid LaunchConfig builders, one per kernel. Shared between the
 // generic launchers below and the specialized dispatch path
 // (core/spec_exec.hpp): both paths MUST present the identical config —
-// same grid, block geometry, shared size, kernel name, classifier —
+// same grid, block geometry, shared size, kernel name, block classes —
 // so fault injection, sampling, windowing and telemetry behave the same
 // regardless of which kernel body runs.
 inline sim::LaunchConfig make_od_cfg(const OdConfig& k, int elem_size) {
@@ -58,9 +43,7 @@ inline sim::LaunchConfig make_od_cfg(const OdConfig& k, int elem_size) {
   cfg.shared_elems = 32 * k.tile_pitch;
   cfg.kernel_name = "orthogonal_distinct";
   cfg.uses_texture = true;
-  cfg.block_class = chunk_block_class(k.a_chunks, k.a_rem, k.b_chunks,
-                                      k.b_rem);
-  cfg.num_classes = 4;
+  cfg.classes = {k.a_chunks, k.a_rem != 0, k.b_chunks, k.b_rem != 0};
   return cfg;
 }
 
@@ -72,9 +55,7 @@ inline sim::LaunchConfig make_oa_cfg(const OaConfig& k, int elem_size) {
   cfg.shared_elems = k.smem_elems();
   cfg.kernel_name = "orthogonal_arbitrary";
   cfg.uses_texture = true;
-  cfg.block_class = chunk_block_class(k.a_chunks, k.a_rem, k.b_chunks,
-                                      k.b_rem);
-  cfg.num_classes = 4;
+  cfg.classes = {k.a_chunks, k.a_rem != 0, k.b_chunks, k.b_rem != 0};
   return cfg;
 }
 
@@ -86,9 +67,7 @@ inline sim::LaunchConfig make_fvi_small_cfg(const FviSmallConfig& k,
   cfg.block_threads = k.block_threads;
   cfg.shared_elems = k.smem_elems;
   cfg.kernel_name = "fvi_match_small";
-  cfg.block_class = chunk_block_class(k.i1_chunks, k.i1_rem, k.ik_chunks,
-                                      k.ik_rem);
-  cfg.num_classes = 4;
+  cfg.classes = {k.i1_chunks, k.i1_rem != 0, k.ik_chunks, k.ik_rem != 0};
   return cfg;
 }
 
@@ -100,10 +79,30 @@ inline sim::LaunchConfig make_fvi_large_cfg(const FviLargeConfig& k,
   cfg.block_threads = k.block_threads;
   cfg.shared_elems = 0;
   cfg.kernel_name = "fvi_match_large";
-  cfg.block_class = chunk_block_class(k.segs, k.n0 % k.seg_len,
-                                      k.batch_chunks, k.batch_rem);
-  cfg.num_classes = 4;
+  cfg.classes = {k.segs, k.n0 % k.seg_len != 0, k.batch_chunks,
+                 k.batch_rem != 0};
   return cfg;
+}
+
+/// The grid decoder of the selected kernel.
+inline const GridDecoder& decoder_for(const KernelSelection& sel) {
+  switch (sel.schema) {
+    case Schema::kFviMatchSmall: return sel.fvi_small.decoder;
+    case Schema::kOrthogonalDistinct: return sel.od.decoder;
+    case Schema::kOrthogonalArbitrary: return sel.oa.decoder;
+    default: return sel.fvi_large.decoder;  // kCopy / kFviMatchLarge
+  }
+}
+
+/// The full-grid LaunchConfig of the selected kernel.
+inline sim::LaunchConfig launch_config_for(const KernelSelection& sel,
+                                           int elem_size) {
+  switch (sel.schema) {
+    case Schema::kFviMatchSmall: return make_fvi_small_cfg(sel.fvi_small, elem_size);
+    case Schema::kOrthogonalDistinct: return make_od_cfg(sel.od, elem_size);
+    case Schema::kOrthogonalArbitrary: return make_oa_cfg(sel.oa, elem_size);
+    default: return make_fvi_large_cfg(sel.fvi_large, elem_size);
+  }
 }
 
 template <class T>

@@ -93,8 +93,8 @@ struct NaiveKernel {
   }
 };
 
-/// Launch the naive kernel (with the tail-block classifier so sampled
-/// count-only sweeps stay cheap).
+/// Launch the naive kernel (with the tail block as its own class so
+/// sampled count-only sweeps stay cheap).
 template <class T>
 sim::LaunchResult launch_naive(sim::Device& dev, const NaiveConfig& k,
                                sim::DeviceBuffer<T> in,
@@ -104,13 +104,9 @@ sim::LaunchResult launch_naive(sim::Device& dev, const NaiveConfig& k,
   cfg.grid_blocks = k.grid_blocks;
   cfg.block_threads = k.block_threads;
   cfg.kernel_name = "naive";
-  // All interior blocks are equivalent; only the tail block differs.
-  const Index grid = k.grid_blocks;
-  const bool has_tail = k.volume % k.block_threads != 0;
-  cfg.block_class = [grid, has_tail](std::int64_t b) -> std::int64_t {
-    return (has_tail && b == grid - 1) ? 1 : 0;
-  };
-  cfg.num_classes = 2;
+  // All interior blocks are equivalent; only the tail block differs: one
+  // chunked dimension of grid_blocks chunks whose last may be partial.
+  cfg.classes = {k.grid_blocks, k.volume % k.block_threads != 0, 1, false};
   return dev.launch(NaiveKernel<T>{k, in, out, epi}, cfg);
 }
 

@@ -2,7 +2,7 @@
 //
 // A specialized launch presents the IDENTICAL LaunchConfig the generic
 // kernel would have used (same grid/block geometry, shared size, kernel
-// name, classifier, window, texture flag), so fault injection, sampled
+// name, block classes, window, texture flag), so fault injection, sampled
 // counting, windowing, parallel chunking and telemetry all behave the
 // same; only the per-block body changes. Per block it:
 //   1. decodes the GridEntry (block table, fixed-rank unrolled FastDiv
@@ -24,25 +24,6 @@
 #include "core/stride_program.hpp"
 
 namespace ttlg {
-
-inline const GridDecoder& spec_decoder_for(const KernelSelection& sel) {
-  switch (sel.schema) {
-    case Schema::kFviMatchSmall: return sel.fvi_small.decoder;
-    case Schema::kOrthogonalDistinct: return sel.od.decoder;
-    case Schema::kOrthogonalArbitrary: return sel.oa.decoder;
-    default: return sel.fvi_large.decoder;  // kCopy / kFviMatchLarge
-  }
-}
-
-inline sim::LaunchConfig spec_launch_config(const KernelSelection& sel,
-                                            int elem_size) {
-  switch (sel.schema) {
-    case Schema::kFviMatchSmall: return make_fvi_small_cfg(sel.fvi_small, elem_size);
-    case Schema::kOrthogonalDistinct: return make_od_cfg(sel.od, elem_size);
-    case Schema::kOrthogonalArbitrary: return make_oa_cfg(sel.oa, elem_size);
-    default: return make_fvi_large_cfg(sel.fvi_large, elem_size);
-  }
-}
 
 /// One width-templated specialized kernel variant. Slots > 0 pins the
 /// decode rank at compile time (the dispatch table's rank bucket);
@@ -93,10 +74,7 @@ struct SpecializedKernel {
       blk.add_gld_transactions(ld);
       blk.add_gst_transactions(st);
     }
-    if (!cp.tex_lines.empty()) {
-      blk.touch_tex_lines(cp.tex_lines.data(),
-                          static_cast<std::int64_t>(cp.tex_lines.size()));
-    }
+    if (!cp.tex_lines.empty()) blk.touch_tex_lines(cp.tex_lines);
 
     if (blk.mode() != sim::ExecMode::kFunctional || cp.max_src < 0) return;
     TTLG_ASSERT(in.valid() && out.valid(),
@@ -244,9 +222,9 @@ sim::LaunchResult launch_specialized(sim::Device& dev, const SpecProgram& prog,
               "generic plans carry no stride program");
   TTLG_ASSERT(prog.elem_size == static_cast<int>(sizeof(T)),
               "stride program element width mismatch");
-  sim::LaunchConfig cfg = spec_launch_config(sel, static_cast<int>(sizeof(T)));
+  sim::LaunchConfig cfg = launch_config_for(sel, static_cast<int>(sizeof(T)));
   win.apply(cfg);
-  const GridDecoder& dec = spec_decoder_for(sel);
+  const GridDecoder& dec = decoder_for(sel);
   if (prog.tier == SpecTier::kStrideProgram || dec.slots() != spec_rank_bucket(dec.slots())) {
     return run_spec_variant<T, false, 0>(dev, prog, dec, cfg, in, out);
   }
@@ -272,8 +250,8 @@ std::vector<sim::LaunchResult> launch_specialized_batched(
   TTLG_ASSERT(prog.elem_size == static_cast<int>(sizeof(T)),
               "stride program element width mismatch");
   const sim::LaunchConfig cfg =
-      spec_launch_config(sel, static_cast<int>(sizeof(T)));
-  const GridDecoder& dec = spec_decoder_for(sel);
+      launch_config_for(sel, static_cast<int>(sizeof(T)));
+  const GridDecoder& dec = decoder_for(sel);
   if (prog.tier == SpecTier::kStrideProgram ||
       dec.slots() != spec_rank_bucket(dec.slots())) {
     return run_spec_variant_batched<T, false, 0>(dev, prog, dec, cfg,

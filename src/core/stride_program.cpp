@@ -477,42 +477,6 @@ class RecordingCtx {
   bool ok_ = true;
 };
 
-const GridDecoder& decoder_for(const KernelSelection& sel) {
-  switch (sel.schema) {
-    case Schema::kFviMatchSmall: return sel.fvi_small.decoder;
-    case Schema::kOrthogonalDistinct: return sel.od.decoder;
-    case Schema::kOrthogonalArbitrary: return sel.oa.decoder;
-    default: return sel.fvi_large.decoder;  // kCopy / kFviMatchLarge
-  }
-}
-
-std::int64_t smem_elems_for(const KernelSelection& sel) {
-  switch (sel.schema) {
-    case Schema::kFviMatchSmall: return sel.fvi_small.smem_elems;
-    case Schema::kOrthogonalDistinct: return 32 * sel.od.tile_pitch;
-    case Schema::kOrthogonalArbitrary: return sel.oa.smem_elems();
-    default: return 0;
-  }
-}
-
-int block_threads_for(const KernelSelection& sel) {
-  switch (sel.schema) {
-    case Schema::kFviMatchSmall: return sel.fvi_small.block_threads;
-    case Schema::kOrthogonalDistinct: return sel.od.block_threads;
-    case Schema::kOrthogonalArbitrary: return sel.oa.block_threads;
-    default: return sel.fvi_large.block_threads;
-  }
-}
-
-Index grid_blocks_for(const KernelSelection& sel) {
-  switch (sel.schema) {
-    case Schema::kFviMatchSmall: return sel.fvi_small.grid_blocks;
-    case Schema::kOrthogonalDistinct: return sel.od.grid_blocks;
-    case Schema::kOrthogonalArbitrary: return sel.oa.grid_blocks;
-    default: return sel.fvi_large.grid_blocks;
-  }
-}
-
 /// Run the planned generic kernel body for one block against any
 /// context (the recorder or a real BlockCtx for the self-check), with
 /// the identity epilogue and synthetic in/out views. Texture views are
@@ -635,18 +599,18 @@ void compress_copies(ClassProgram& cp) {
 /// Empty means the class never occurs in this grid.
 std::vector<Index> class_rep_bids(int c, const SpecProgram& p, Index s0,
                                   Index s1, Index outer) {
-  const auto cands = [](bool partial, Index chunks, Index rem) {
+  const auto cands = [](bool bit, Index chunks, bool partial) {
     std::vector<Index> v;
-    if (partial) {
-      if (rem != 0) v.push_back(chunks - 1);
+    if (bit) {
+      if (partial) v.push_back(chunks - 1);
       return v;
     }
-    const Index lim = rem != 0 ? chunks - 1 : chunks;
+    const Index lim = partial ? chunks - 1 : chunks;
     for (Index i = 0; i < lim && v.size() < 2; ++i) v.push_back(i);
     return v;
   };
-  const auto i0s = cands((c & 1) != 0, p.a_chunks, p.a_rem);
-  const auto i1s = cands((c & 2) != 0, p.b_chunks, p.b_rem);
+  const auto i0s = cands((c & 1) != 0, p.classes.a_chunks, p.classes.a_partial);
+  const auto i1s = cands((c & 2) != 0, p.classes.b_chunks, p.classes.b_partial);
   if (i0s.empty() || i1s.empty()) return {};
   const auto bid = [&](Index i0, Index i1, Index o) {
     return i0 + s0 * (i1 + s1 * o);
@@ -670,13 +634,13 @@ struct RepTruth {
 /// program into `*out` (no `ref`) or checks it against `ref`, and fills
 /// `truth`. False when the block is untraceable or diverges from `ref`.
 template <class T>
-bool record_rep(const SpecBuildInput& bi, Index bid, const ClassProgram* ref,
-                ClassProgram* out, RepTruth& truth,
-                std::vector<std::int64_t>& shadow, sim::TextureCache& tex) {
-  const KernelSelection& sel = *bi.sel;
-  truth.entry = decoder_for(sel).decode(bid);
-  const int threads = block_threads_for(sel);
-  const std::int64_t smem = smem_elems_for(sel);
+bool record_rep(const SpecBuildInput& bi, const sim::LaunchConfig& lc,
+                Index bid, const ClassProgram* ref, ClassProgram* out,
+                RepTruth& truth, std::vector<std::int64_t>& shadow,
+                sim::TextureCache& tex) {
+  truth.entry = decoder_for(*bi.sel).decode(bid);
+  const int threads = lc.block_threads;
+  const std::int64_t smem = lc.shared_elems;
   // Texture record-and-replay mode: the block's line touches go to the
   // log, the cache itself is never probed.
   if (ref != nullptr) truth.tex_log.reserve(ref->tex_lines.size());
@@ -731,44 +695,20 @@ std::shared_ptr<const SpecProgram> build_impl(const SpecBuildInput& bi) {
   auto prog = std::make_shared<SpecProgram>();
   prog->elem_size = static_cast<int>(sizeof(T));
   prog->txn_bytes = bi.props->dram_transaction_bytes;
-  switch (sel.schema) {
-    case Schema::kFviMatchSmall:
-      prog->a_chunks = sel.fvi_small.i1_chunks;
-      prog->a_rem = sel.fvi_small.i1_rem;
-      prog->b_chunks = sel.fvi_small.ik_chunks;
-      prog->b_rem = sel.fvi_small.ik_rem;
-      break;
-    case Schema::kOrthogonalDistinct:
-      prog->a_chunks = sel.od.a_chunks;
-      prog->a_rem = sel.od.a_rem;
-      prog->b_chunks = sel.od.b_chunks;
-      prog->b_rem = sel.od.b_rem;
-      break;
-    case Schema::kOrthogonalArbitrary:
-      prog->a_chunks = sel.oa.a_chunks;
-      prog->a_rem = sel.oa.a_rem;
-      prog->b_chunks = sel.oa.b_chunks;
-      prog->b_rem = sel.oa.b_rem;
-      break;
-    default:
-      prog->a_chunks = sel.fvi_large.segs;
-      prog->a_rem = sel.fvi_large.n0 % sel.fvi_large.seg_len;
-      prog->b_chunks = sel.fvi_large.batch_chunks;
-      prog->b_rem = sel.fvi_large.batch_rem;
-      break;
-  }
+  const sim::LaunchConfig lc =
+      launch_config_for(sel, static_cast<int>(sizeof(T)));
+  prog->classes = *lc.classes;
 
-  // The class_of classifier reads idx0/idx1 straight off the decoded
-  // GridEntry, which is only equivalent to the launch classifier's
-  // (bid % a_chunks, bid / a_chunks % b_chunks) when the grid's first
-  // two slots ARE the chunk dimensions. Verify that layout instead of
-  // assuming it.
+  // class_of reads idx0/idx1 straight off the decoded GridEntry, which
+  // is only equivalent to the launch's ChunkClasses::class_of(bid) when
+  // the grid's first two slots ARE the chunk dimensions. Verify that
+  // layout instead of assuming it.
   const GridDecoder& dec = decoder_for(sel);
-  const Index grid = grid_blocks_for(sel);
+  const Index grid = lc.grid_blocks;
   const Index s0 = dec.slots() >= 1 ? dec.slot_extent(0) : 1;
   const Index s1 = dec.slots() >= 2 ? dec.slot_extent(1) : 1;
-  if (s0 != prog->a_chunks || s1 != prog->b_chunks || grid <= 0 ||
-      grid % (s0 * s1) != 0) {
+  if (s0 != prog->classes.a_chunks || s1 != prog->classes.b_chunks ||
+      grid <= 0 || grid % (s0 * s1) != 0) {
     count_reject(Reject::kLayout);
     return nullptr;
   }
@@ -783,13 +723,13 @@ std::shared_ptr<const SpecProgram> build_impl(const SpecBuildInput& bi) {
   // a cache, so a one-line cache only supplies the line size.
   sim::TextureCache tex(1, bi.props->tex_line_bytes);
   bool all_affine = true;
-  for (int c = 0; c < 4; ++c) {
+  for (int c = 0; c < sim::ChunkClasses::kCount; ++c) {
     const auto reps = class_rep_bids(c, *prog, s0, s1, outer);
     if (reps.empty()) continue;
     ClassProgram& cp = prog->cls[c];
     for (std::size_t r = 0; r < reps.size(); ++r) {
       const bool first = r == 0;
-      if (!record_rep<T>(bi, reps[r], first ? nullptr : &cp,
+      if (!record_rep<T>(bi, lc, reps[r], first ? nullptr : &cp,
                          first ? &cp : nullptr, truths.emplace_back(), shadow,
                          tex)) {
         count_reject(first ? Reject::kUntraceable : Reject::kClassMismatch);

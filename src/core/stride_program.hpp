@@ -37,6 +37,7 @@
 
 #include "core/grid_decode.hpp"
 #include "core/planner.hpp"
+#include "gpusim/chunk_classes.hpp"
 #include "gpusim/counters.hpp"
 #include "gpusim/device_properties.hpp"
 
@@ -122,21 +123,17 @@ struct ClassProgram {
 };
 
 /// A compiled stride program for one plan: the four chunk-remainder
-/// block classes (class = partial-A bit | partial-B bit, exactly the
-/// launch classifier's chunk_block_class) plus the classifier params.
+/// block classes (class = partial-A bit | partial-B bit) plus the
+/// launch's own block classes, which map a decoded block to its class.
 struct SpecProgram {
   SpecTier tier = SpecTier::kGeneric;
   int elem_size = 8;
   std::int64_t txn_bytes = 128;
-  Index a_chunks = 1;
-  Index a_rem = 0;
-  Index b_chunks = 1;
-  Index b_rem = 0;
-  ClassProgram cls[4];
+  sim::ChunkClasses classes;
+  ClassProgram cls[sim::ChunkClasses::kCount];
 
   int class_of(const GridEntry& e) const {
-    return ((a_rem != 0 && e.idx0 == a_chunks - 1) ? 1 : 0) |
-           ((b_rem != 0 && e.idx1 == b_chunks - 1) ? 2 : 0);
+    return classes.class_of_chunk(e.idx0, e.idx1);
   }
   std::int64_t footprint_bytes() const;
 };

@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -91,16 +92,16 @@ class BlockCtx {
   /// first-touch order collect_tex_lines would have produced). Honors
   /// the same record-and-replay switch as tld(): with a log attached the
   /// byte addresses are appended for deferred replay, otherwise the
-  /// shared cache is probed directly and misses are charged. The
+  /// shared cache replays them (memoized when the previous operation
+  /// replayed the same span — TextureCache::replay) and misses are
+  /// charged. `lines` must outlive the launch unchanged. The
   /// tex_transactions charge itself belongs to the caller's bulk delta.
-  void touch_tex_lines(const std::int64_t* lines, std::int64_t n) {
+  void touch_tex_lines(std::span<const std::int64_t> lines) {
     if (tex_log_) {
-      for (std::int64_t s = 0; s < n; ++s)
-        tex_log_->push_back(lines[s] * tex_.line_bytes());
+      for (const std::int64_t line : lines)
+        tex_log_->push_back(line * tex_.line_bytes());
     } else {
-      for (std::int64_t s = 0; s < n; ++s) {
-        if (!tex_.access_line(lines[s])) ++ctr_.tex_misses;
-      }
+      ctr_.tex_misses += tex_.replay(lines);
     }
   }
 

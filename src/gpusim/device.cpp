@@ -111,6 +111,9 @@ void Device::validate(const LaunchConfig& cfg) const {
   TTLG_CHECK(cfg.block_threads % props_.warp_size == 0,
              "block size must be a multiple of the warp size");
   TTLG_CHECK(cfg.shared_elems >= 0, "negative shared memory request");
+  TTLG_CHECK(!cfg.classes ||
+                 (cfg.classes->a_chunks > 0 && cfg.classes->b_chunks > 0),
+             "block classes need positive chunk counts");
   TTLG_CHECK_CODE(
       cfg.shared_elems * cfg.elem_size <= props_.shared_mem_per_block_bytes,
       ErrorCode::kResourceExhausted,

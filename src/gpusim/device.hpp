@@ -13,15 +13,16 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "gpusim/block_ctx.hpp"
+#include "gpusim/chunk_classes.hpp"
 #include "gpusim/fault_injector.hpp"
 #include "gpusim/counters.hpp"
 #include "gpusim/dbuffer.hpp"
@@ -46,12 +47,11 @@ struct LaunchConfig {
   std::int64_t shared_elems = 0;
   int elem_size = 8;
   std::string kernel_name;
-  /// Optional block-equivalence classifier for sampled counting: blocks
-  /// of one class execute the same access pattern up to base offsets
-  /// (full vs remainder chunks). Used only in count-only mode when the
-  /// device has sampling enabled.
-  std::function<std::int64_t(std::int64_t)> block_class;
-  std::int64_t num_classes = 1;
+  /// Optional block-equivalence classes for sampled counting: blocks of
+  /// one class execute the same access pattern up to base offsets (full
+  /// vs remainder chunks). Used only in count-only mode when the device
+  /// has sampling enabled; without them every block runs.
+  std::optional<ChunkClasses> classes;
   /// Kernel binds texture offset arrays (OD/OA); gates the `tex`
   /// fault-injection site so texture faults only hit texture users.
   bool uses_texture = false;
@@ -80,8 +80,8 @@ class Device {
   ExecMode mode() const { return mode_; }
   void set_mode(ExecMode m) { mode_ = m; }
 
-  /// Enable class-sampled counting: in count-only mode, launches with a
-  /// block classifier execute only `samples` blocks per class and scale
+  /// Enable class-sampled counting: in count-only mode, launches with
+  /// block classes execute only `samples` blocks per class and scale
   /// the counters by the class multiplicity. 0 disables (default).
   void set_sampling(int samples) { sampling_ = samples; }
   int sampling() const { return sampling_; }
@@ -156,8 +156,8 @@ class Device {
   }
 
   /// Run `kernel(BlockCtx&)` over the whole grid and return counters +
-  /// simulated time. In count-only mode with sampling enabled and a
-  /// block classifier supplied, only a few representative blocks per
+  /// simulated time. In count-only mode with sampling enabled and block
+  /// classes supplied, only a few representative blocks per
   /// equivalence class execute; counters are scaled by multiplicity.
   template <class Kernel>
   LaunchResult launch(Kernel&& kernel, const LaunchConfig& cfg) {
@@ -177,8 +177,7 @@ class Device {
         static_cast<std::size_t>(cfg.shared_elems * cfg.elem_size));
     TextureCache tex(props_.tex_cache_lines, props_.tex_line_bytes);
 
-    if (mode_ == ExecMode::kCountOnly && sampling_ > 0 && cfg.block_class &&
-        cfg.num_classes >= 1) {
+    if (mode_ == ExecMode::kCountOnly && sampling_ > 0 && cfg.classes) {
       run_sampled(kernel, cfg, res, smem, tex);
     } else if (const int nthreads = launch_parallelism(cfg.grid_blocks);
                nthreads > 1) {
@@ -236,8 +235,7 @@ class Device {
     // cache-warming protocol is per-launch state, so the members run
     // through the unfused path (bit-identity is the contract, and a
     // sampled sweep is not the launch-overhead regime fusion targets).
-    if (mode_ == ExecMode::kCountOnly && sampling_ > 0 && cfg.block_class &&
-        cfg.num_classes >= 1) {
+    if (mode_ == ExecMode::kCountOnly && sampling_ > 0 && cfg.classes) {
       for (std::int64_t m = 0; m < num_members; ++m)
         results[static_cast<std::size_t>(m)] = launch(make_kernel(m), cfg);
       return results;
@@ -432,46 +430,35 @@ class Device {
     }
   }
 
+  /// Class-sampled counting: per class, `sampling_` blocks spread
+  /// evenly over the class's occurrences in the window (the s*n/samples-
+  /// th, s = 0..samples-1) run after one warm-up run of the first, and
+  /// their counters are scaled by the class multiplicity. Census and
+  /// block choice are closed forms (ChunkClasses), so the cost is
+  /// O(classes x samples) blocks whatever the grid size.
   template <class Kernel>
   void run_sampled(const Kernel& kernel, const LaunchConfig& cfg,
                    LaunchResult& res, std::vector<std::byte>& smem,
                    TextureCache& tex) {
     const PatternCachePool::Lease pc = pattern_pool_.acquire(pattern_cache_);
     PatternCache* pcp = pc.get();
-    const std::int64_t nc = cfg.num_classes;
-    const std::int64_t b_end = cfg.block_offset + cfg.grid_blocks;
-    std::vector<std::int64_t> counts(static_cast<std::size_t>(nc), 0);
-    for (std::int64_t b = cfg.block_offset; b < b_end; ++b) {
-      const std::int64_t c = cfg.block_class(b);
-      TTLG_ASSERT(c >= 0 && c < nc, "block class out of range");
-      ++counts[static_cast<std::size_t>(c)];
-    }
-    for (std::int64_t c = 0; c < nc; ++c) {
-      const std::int64_t n = counts[static_cast<std::size_t>(c)];
+    const ChunkClasses& classes = *cfg.classes;
+    for (int c = 0; c < ChunkClasses::kCount; ++c) {
+      const std::int64_t before = classes.count_below(c, cfg.block_offset);
+      const std::int64_t n =
+          classes.count_below(c, cfg.block_offset + cfg.grid_blocks) - before;
       if (n == 0) continue;
-      const std::int64_t samples =
-          std::min<std::int64_t>(sampling_, n);
-      // Evenly spread sample occurrence indices within the class.
-      std::vector<std::int64_t> targets(static_cast<std::size_t>(samples));
-      for (std::int64_t s = 0; s < samples; ++s)
-        targets[static_cast<std::size_t>(s)] = s * n / samples;
+      const std::int64_t samples = std::min<std::int64_t>(sampling_, n);
       LaunchCounters cls;
-      std::int64_t occurrence = 0;
-      std::size_t next = 0;
-      bool warmed = false;
-      for (std::int64_t b = cfg.block_offset;
-           b < b_end && next < targets.size(); ++b) {
-        if (cfg.block_class(b) != c) continue;
-        if (occurrence++ != targets[next]) continue;
-        ++next;
-        if (!warmed) {
+      for (std::int64_t s = 0; s < samples; ++s) {
+        const std::int64_t b = classes.nth(c, before + s * n / samples);
+        if (s == 0) {
           // Warm the texture cache so per-class miss rates reflect the
           // steady state, not the launch's cold start.
           LaunchCounters discard;
           BlockCtx warm(b, cfg.block_threads, mode_, props_, discard,
                         smem.data(), cfg.shared_elems, tex, nullptr, pcp);
           kernel(warm);
-          warmed = true;
         }
         BlockCtx blk(b, cfg.block_threads, mode_, props_, cls, smem.data(),
                      cfg.shared_elems, tex, nullptr, pcp);

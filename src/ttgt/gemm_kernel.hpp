@@ -155,15 +155,8 @@ sim::LaunchResult launch_gemm(sim::Device& dev, const GemmConfig& cfg,
   lc.block_threads = cfg.block_threads;
   lc.shared_elems = kGemmSmemElems;
   lc.kernel_name = "ttgt_gemm";
-  const Index tiles_m = cfg.tiles_m, tiles_n = cfg.tiles_n;
-  const Index m = cfg.m, n = cfg.n;
-  lc.block_class = [=](std::int64_t bid) -> std::int64_t {
-    const Index tm = bid % tiles_m;
-    const Index tn = bid / tiles_m;
-    return (m % 32 != 0 && tm == tiles_m - 1 ? 1 : 0) +
-           (n % 32 != 0 && tn == tiles_n - 1 ? 2 : 0);
-  };
-  lc.num_classes = 4;
+  // Remainder tiles along m and n are the partial chunks.
+  lc.classes = {cfg.tiles_m, cfg.m % 32 != 0, cfg.tiles_n, cfg.n % 32 != 0};
   return dev.launch(GemmKernel<T>{cfg, a, b, c, alpha, beta}, lc);
 }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/rng.hpp"
 #include "gpusim/device.hpp"
 
 namespace ttlg::sim {
@@ -122,14 +125,68 @@ TEST(Device, SampledCountingMatchesFullCounting) {
   const auto full = dev.launch(CopyBlockKernel{in, out}, cfg);
 
   dev.set_sampling(4);
-  cfg.block_class = [](std::int64_t) { return 0; };  // all equivalent
-  cfg.num_classes = 1;
+  cfg.classes = ChunkClasses{};  // one chunk, no remainder: all equivalent
   const auto sampled = dev.launch(CopyBlockKernel{in, out}, cfg);
   EXPECT_EQ(sampled.counters.gld_transactions,
             full.counters.gld_transactions);
   EXPECT_EQ(sampled.counters.gst_transactions,
             full.counters.gst_transactions);
   EXPECT_NEAR(sampled.time_s, full.time_s, full.time_s * 1e-6);
+}
+
+/// Records the id of every block it runs, warm-up runs included.
+struct RecordBlocksKernel {
+  std::vector<std::int64_t>* seen;
+  void operator()(BlockCtx& blk) const { seen->push_back(blk.block_id()); }
+};
+
+TEST(Device, SampledLaunchPicksEvenlySpreadOccurrencesOfEachClass) {
+  // Reference: scan the window per class and take the s*n/samples-th
+  // occurrence, the first one run twice (warm-up, then sample).
+  Rng rng(0x5a3b1e);
+  for (int iter = 0; iter < 200; ++iter) {
+    const ChunkClasses cc{static_cast<std::int64_t>(rng.uniform(1, 7)),
+                          rng.uniform(0, 1) != 0,
+                          static_cast<std::int64_t>(rng.uniform(1, 7)),
+                          rng.uniform(0, 1) != 0};
+    const std::int64_t grid =
+        cc.a_chunks * cc.b_chunks * static_cast<std::int64_t>(rng.uniform(1, 4));
+    LaunchConfig cfg;
+    cfg.block_threads = 32;
+    cfg.block_offset = static_cast<std::int64_t>(
+        rng.uniform(0, static_cast<std::uint64_t>(grid - 1)));
+    cfg.grid_blocks = static_cast<std::int64_t>(
+        rng.uniform(1, static_cast<std::uint64_t>(grid - cfg.block_offset)));
+    cfg.classes = cc;
+    const int sampling = static_cast<int>(rng.uniform(1, 6));
+    const std::int64_t lo = cfg.block_offset, hi = lo + cfg.grid_blocks;
+
+    std::vector<std::int64_t> want;
+    for (int c = 0; c < ChunkClasses::kCount; ++c) {
+      std::vector<std::int64_t> occ;
+      for (std::int64_t b = lo; b < hi; ++b) {
+        const std::int64_t a = b % cc.a_chunks;
+        const std::int64_t bb = b / cc.a_chunks % cc.b_chunks;
+        const int cls = (cc.a_partial && a == cc.a_chunks - 1 ? 1 : 0) +
+                        (cc.b_partial && bb == cc.b_chunks - 1 ? 2 : 0);
+        if (cls == c) occ.push_back(b);
+      }
+      const std::int64_t n = static_cast<std::int64_t>(occ.size());
+      const std::int64_t samples = std::min<std::int64_t>(sampling, n);
+      for (std::int64_t s = 0; s < samples; ++s) {
+        const std::int64_t b = occ[static_cast<std::size_t>(s * n / samples)];
+        if (s == 0) want.push_back(b);
+        want.push_back(b);
+      }
+    }
+
+    Device dev;
+    dev.set_mode(ExecMode::kCountOnly);
+    dev.set_sampling(sampling);
+    std::vector<std::int64_t> seen;
+    dev.launch(RecordBlocksKernel{&seen}, cfg);
+    ASSERT_EQ(seen, want) << "iter " << iter;
+  }
 }
 
 }  // namespace

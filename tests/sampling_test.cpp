@@ -4,6 +4,7 @@
 // actually differ.
 #include <gtest/gtest.h>
 
+#include "core/naive_fallback.hpp"
 #include "core/ttlg.hpp"
 #include "ttgt/gemm_kernel.hpp"
 
@@ -94,6 +95,29 @@ TEST(SamplingAccuracy, GemmKernelClasses) {
   EXPECT_EQ(sampled.counters.gld_transactions,
             full.counters.gld_transactions);
   EXPECT_NEAR(sampled.time_s, full.time_s, full.time_s * 1e-9);
+}
+
+TEST(SamplingAccuracy, NaiveKernelTailClass) {
+  // The naive kernel's only distinct block is the partial tail block:
+  // its own class, so per-block-invariant counters sample exactly.
+  const Shape shape({37, 29, 11});
+  const Permutation perm({2, 0, 1});
+  ASSERT_NE(shape.volume() % 256, 0);
+  const TransposeProblem problem = TransposeProblem::make(shape, perm, 8);
+  const NaiveConfig k = build_naive_config(problem);
+  sim::Device dev;
+  dev.set_mode(sim::ExecMode::kCountOnly);
+  auto in = dev.alloc_virtual<double>(shape.volume());
+  auto out = dev.alloc_virtual<double>(shape.volume());
+  const auto full = launch_naive<double>(dev, k, in, out);
+  dev.set_sampling(4);
+  const auto sampled = launch_naive<double>(dev, k, in, out);
+  EXPECT_EQ(sampled.counters.gld_transactions,
+            full.counters.gld_transactions);
+  EXPECT_EQ(sampled.counters.special_ops, full.counters.special_ops);
+  EXPECT_EQ(sampled.counters.payload_bytes, full.counters.payload_bytes);
+  expect_close(sampled.counters.gst_transactions,
+               full.counters.gst_transactions, 0.05, "gst");
 }
 
 TEST(SamplingAccuracy, SamplingIgnoredInFunctionalMode) {

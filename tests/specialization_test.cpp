@@ -310,6 +310,78 @@ TEST(Specialization, CountOnlyAndSampledModesMatchToo) {
   }
 }
 
+// Every mode a plan's texture replays can run in: functional, full-grid
+// count-only, sampled, and three count-only windows with and without
+// sampling. Serial specialized runs replay their class texture lines
+// through the memo (TextureCache::replay); the generic kernel probes line
+// by line, so equal artifacts pin the memo as exact.
+std::vector<Artifacts> texture_mode_runs(const Case& c, bool specialize,
+                                         int nthreads) {
+  const Shape shape(c.ext);
+  const Permutation perm(c.perm);
+  std::vector<Artifacts> runs;
+  runs.push_back(run_once<double>(shape, perm, specialize, nthreads, true));
+
+  sim::Device dev;
+  dev.set_num_threads(nthreads);
+  dev.set_mode(sim::ExecMode::kCountOnly);
+  auto in = dev.alloc_virtual<double>(shape.volume());
+  auto out = dev.alloc_virtual<double>(shape.volume());
+  PlanOptions opts;
+  opts.specialize = specialize;
+  Plan plan = make_plan(dev, shape, perm, opts);
+  const auto record = [&](const sim::LaunchResult& r) {
+    Artifacts a;
+    a.schema = plan.schema();
+    a.tier = plan.specialization_tier();
+    a.ctr = r.counters;
+    a.time_bits = std::bit_cast<std::uint64_t>(r.time_s);
+    runs.push_back(a);
+  };
+  const Index nb = plan.grid_blocks();
+  const Index cuts[] = {0, nb / 3, 2 * nb / 3 + 1, nb};
+  for (int sampling : {0, 4}) {
+    dev.set_sampling(sampling);
+    record(plan.execute<double>(in, out));
+    for (int w = 0; w < 3; ++w)
+      record(plan.execute_window<double>(
+          in, out, LaunchWindow{cuts[w], cuts[w + 1] - cuts[w]}));
+  }
+  return runs;
+}
+
+TEST(Specialization, TextureReplayMemoMatchesGenericInEveryMode) {
+  // Orthogonal-Distinct with two A-chunks, the second partial: block
+  // classes alternate every block, so the replayed span changes from one
+  // block to the next and the memo chain keeps breaking.
+  const Case od{{40, 9, 40}, {2, 1, 0}};
+  {
+    sim::Device dev;
+    const Plan plan = make_plan(dev, Shape(od.ext), Permutation(od.perm));
+    ASSERT_EQ(plan.schema(), Schema::kOrthogonalDistinct);
+    ASSERT_EQ(plan.selection().od.a_chunks, 2);
+    ASSERT_NE(plan.selection().od.a_rem, 0);
+    ASSERT_GE(plan.grid_blocks(), 6);
+  }
+  const Case oa{{8, 2, 24, 24, 24}, {2, 1, 3, 0, 4}};
+  for (const Case& c : {od, oa}) {
+    for (int nthreads : {1, 3}) {
+      const auto spec = texture_mode_runs(c, true, nthreads);
+      const auto gen = texture_mode_runs(c, false, nthreads);
+      ASSERT_EQ(spec.size(), gen.size());
+      EXPECT_NE(spec[0].tier, SpecTier::kGeneric);
+      EXPECT_EQ(gen[0].tier, SpecTier::kGeneric);
+      EXPECT_GT(gen[0].ctr.tex_misses, 0);
+      for (std::size_t i = 0; i < spec.size(); ++i) {
+        expect_identical(spec[i], gen[i],
+                         Shape(c.ext).to_string() + " threads " +
+                             std::to_string(nthreads) + " run " +
+                             std::to_string(i));
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------
 // Plan-file persistence of the tier (format v3).
 
