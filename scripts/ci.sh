@@ -25,22 +25,23 @@ ctest --test-dir build --output-on-failure -j "$(nproc)"
 fault_shakedown build
 
 echo "== perf smoke: microbench hot-path gate =="
-# Record a fresh same-machine baseline, then prove the gate both passes
-# against it and fails on an injected 1.5x slowdown (>20% tolerance).
-# A same-session baseline keeps the stage meaningful on noisy hosts;
-# cross-commit tracking uses the committed results/BENCH_microbench.json.
+# Two fresh microbench runs in one session: the first is the
+# same-machine baseline, the second must stay within 20% of it on every
+# BM_Execute* hot path, and the same diff must fail on an injected 1.5x
+# slowdown (the gate's polarity self-test). A same-session baseline
+# keeps the stage meaningful on noisy hosts; cross-commit tracking uses
+# the committed results/BENCH_microbench.json.
 perf_dir=$(mktemp -d)
-TTLG_BENCH_JSON_DIR="$perf_dir" \
-  build/bench/microbench --benchmark_filter='BM_Execute' \
-  --benchmark_min_time=0.1 >/dev/null
-mv "$perf_dir/BENCH_microbench.json" "$perf_dir/baseline.json"
-TTLG_BENCH_JSON_DIR="$perf_dir" TTLG_PERF_BASELINE="$perf_dir/baseline.json" \
-  build/bench/microbench --benchmark_filter='BM_Execute' \
-  --benchmark_min_time=0.1 | tail -n 2
-if TTLG_BENCH_JSON_DIR="$perf_dir" \
-   TTLG_PERF_BASELINE="$perf_dir/baseline.json" TTLG_PERF_SCALE=1.5 \
-   build/bench/microbench --benchmark_filter='BM_Execute' \
-   --benchmark_min_time=0.1 >/dev/null 2>&1; then
+for run in baseline current; do
+  TTLG_BENCH_JSON_DIR="$perf_dir" \
+    build/bench/microbench --benchmark_filter='BM_Execute' \
+    --benchmark_min_time=0.1 >/dev/null
+  mv "$perf_dir/BENCH_microbench.json" "$perf_dir/$run.json"
+done
+build/tools/perfdiff --filter BM_Execute --tolerance 0.20 \
+  "$perf_dir/baseline.json" "$perf_dir/current.json" | tail -n 2
+if build/tools/perfdiff --filter BM_Execute --tolerance 0.20 --scale 1.5 \
+   "$perf_dir/baseline.json" "$perf_dir/current.json" >/dev/null 2>&1; then
   echo "perf gate did NOT fail on an injected 1.5x slowdown" >&2
   exit 1
 fi
@@ -51,8 +52,8 @@ echo "== perfdiff: bench-trajectory gate over results/ =="
 # Every committed BENCH_*.json must pass the schema check, a self-diff
 # must be regression-free, and the analyzer must reject an injected
 # 1.5x slowdown (self-test of the gate itself). The perf-smoke stage
-# above remains the per-commit hot-path fallback; this stage guards the
-# whole committed trajectory.
+# above gates the per-commit hot paths; this stage guards the whole
+# committed trajectory.
 build/tools/perfdiff --check results
 build/tools/perfdiff results results >/dev/null
 if build/tools/perfdiff --scale 1.5 results results >/dev/null 2>&1; then

@@ -72,8 +72,7 @@ FviLargeConfig build_fvi_large_config(const TransposeProblem& problem,
   cfg.block_threads = static_cast<int>(
       std::min<Index>(256, kWS * std::max<Index>(1, cfg.batch * jchunks)));
   cfg.decoder.init(cfg.grid_extents, cfg.grid_in_strides,
-                   cfg.grid_out_strides, cfg.grid_blocks,
-                   /*build_table=*/true);
+                   cfg.grid_out_strides);
   return cfg;
 }
 
@@ -138,8 +137,7 @@ FviSmallConfig build_fvi_small_config(const TransposeProblem& problem,
   for (Index e : cfg.grid_extents) cfg.grid_blocks *= e;
   cfg.block_threads = static_cast<int>(kWS * b);
   cfg.decoder.init(cfg.grid_extents, cfg.grid_in_strides,
-                   cfg.grid_out_strides, cfg.grid_blocks,
-                   /*build_table=*/true);
+                   cfg.grid_out_strides);
   cfg.n0_div = FastDiv(cfg.n0);
   return cfg;
 }

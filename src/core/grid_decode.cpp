@@ -1,43 +1,12 @@
 #include "core/grid_decode.hpp"
 
-#include <atomic>
-#include <cstdlib>
-
 #include "common/error.hpp"
-#include "telemetry/log.hpp"
-#include "telemetry/metrics.hpp"
 
 namespace ttlg {
 
-Index grid_table_max_blocks() {
-  const char* env = std::getenv("TTLG_GRID_TABLE_MAX");
-  if (env == nullptr || *env == '\0') return kGridTableMaxBlocks;
-  char* end = nullptr;
-  const long long v = std::strtoll(env, &end, 10);
-  if (end == env || *end != '\0' || v <= 0) {
-    // Invalid values keep the shipped default; warn once per process so
-    // a typo'd deployment knob is visible without spamming every plan.
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true)) {
-      telemetry::MetricsRegistry::global()
-          .counter("grid_decode.invalid_table_max")
-          .inc();
-      if (telemetry::log_site_enabled(telemetry::LogLevel::kWarn)) {
-        telemetry::LogEvent ev(telemetry::LogLevel::kWarn, "planner",
-                               "grid_decode.invalid_table_max");
-        ev.field("value", env);
-        ev.detail(std::string("TTLG_GRID_TABLE_MAX ignored: ") + env);
-      }
-    }
-    return kGridTableMaxBlocks;
-  }
-  return static_cast<Index>(v);
-}
-
 void GridDecoder::init(const std::vector<Index>& extents,
                        const std::vector<Index>& in_strides,
-                       const std::vector<Index>& out_strides,
-                       Index grid_blocks, bool build_table) {
+                       const std::vector<Index>& out_strides) {
   TTLG_CHECK(extents.size() == in_strides.size() &&
                  extents.size() == out_strides.size(),
              "grid decode slot vectors must agree in rank");
@@ -49,42 +18,6 @@ void GridDecoder::init(const std::vector<Index>& extents,
   }
   in_strides_ = in_strides;
   out_strides_ = out_strides;
-  table_.clear();
-
-  if (!build_table) return;
-  if (grid_blocks > grid_table_max_blocks()) {
-    // Amortization cap hit: this plan decodes through FastDiv. The
-    // built/capped counter pair makes the fleet-wide table hit rate a
-    // dashboard query (robustness-class metric, always on).
-    telemetry::MetricsRegistry::global()
-        .counter("grid_decode.table_capped")
-        .inc();
-    return;
-  }
-  telemetry::MetricsRegistry::global().counter("grid_decode.table_built").inc();
-
-  // Odometer walk over the slot space: the table is filled in block-id
-  // order with pure additions (no division at all, not even FastDiv).
-  table_.resize(static_cast<std::size_t>(grid_blocks));
-  const std::size_t rank = divs_.size();
-  std::vector<Index> digit(rank, 0);
-  GridEntry cur;
-  for (Index bid = 0; bid < grid_blocks; ++bid) {
-    table_[static_cast<std::size_t>(bid)] = cur;
-    for (std::size_t i = 0; i < rank; ++i) {
-      cur.in_base += in_strides_[i];
-      cur.out_base += out_strides_[i];
-      if (i == 0) ++cur.idx0;
-      if (i == 1) ++cur.idx1;
-      if (++digit[i] < divs_[i].divisor()) break;
-      // Carry: rewind this slot to zero and bump the next one.
-      digit[i] = 0;
-      cur.in_base -= divs_[i].divisor() * in_strides_[i];
-      cur.out_base -= divs_[i].divisor() * out_strides_[i];
-      if (i == 0) cur.idx0 = 0;
-      if (i == 1) cur.idx1 = 0;
-    }
-  }
 }
 
 }  // namespace ttlg

@@ -3,6 +3,10 @@
 // for sampled counting) and dispatch the right kernel.
 #pragma once
 
+#include <span>
+#include <utility>
+#include <vector>
+
 #include "core/kernels.hpp"
 #include "core/planner.hpp"
 #include "gpusim/device.hpp"
@@ -103,6 +107,86 @@ inline sim::LaunchConfig launch_config_for(const KernelSelection& sel,
     case Schema::kOrthogonalArbitrary: return make_oa_cfg(sel.oa, elem_size);
     default: return make_fvi_large_cfg(sel.fvi_large, elem_size);
   }
+}
+
+/// Per-member (input, output) buffer pairs of one launch; a single
+/// launch is a batch of one.
+template <class T>
+using MemberSpan =
+    std::span<const std::pair<sim::DeviceBuffer<T>, sim::DeviceBuffer<T>>>;
+
+/// The texture-resident offset arrays a selection's kernel binds. OD:
+/// t0 = in_offset, t1 = out_offset. OA: t0 = input_offset,
+/// t1 = output_offset, t2 = sm_out_offset. The FVI schemas bind none.
+struct OffsetArrays {
+  sim::DeviceBuffer<Index> t0, t1, t2;
+
+  /// Upload the selection's arrays (plan-time work). Each array is
+  /// stored as soon as it lands, so after a failed upload release()
+  /// frees exactly the part that did.
+  void upload(sim::Device& dev, const KernelSelection& sel) {
+    if (sel.schema == Schema::kOrthogonalDistinct) {
+      t0 = dev.alloc_copy<Index>(sel.od.in_offset);
+      t1 = dev.alloc_copy<Index>(sel.od.out_offset);
+    } else if (sel.schema == Schema::kOrthogonalArbitrary) {
+      t0 = dev.alloc_copy<Index>(sel.oa.input_offset);
+      t1 = dev.alloc_copy<Index>(sel.oa.output_offset);
+      t2 = dev.alloc_copy<Index>(sel.oa.sm_out_offset);
+    }
+  }
+
+  /// Free the arrays that are still live (non-throwing: the owner may
+  /// outlive a Device::free_all()) and reset to empty.
+  void release(sim::Device& dev) {
+    for (sim::DeviceBuffer<Index>* b : {&t0, &t1, &t2})
+      if (b->valid()) dev.try_free(*b);
+    *this = {};
+  }
+};
+
+/// Launch the selected schema's generic kernel over every member as one
+/// dispatch (sim::Device::launch_batched), with the full-grid config
+/// from the make_*_cfg builders narrowed to `win` (a single member
+/// only). Serves single, windowed and fused batched plan execution and
+/// measured-plan candidate timing alike.
+template <class T>
+std::vector<sim::LaunchResult> launch_generic(sim::Device& dev,
+                                              const KernelSelection& sel,
+                                              const OffsetArrays& tex,
+                                              MemberSpan<T> members,
+                                              const Epilogue<T>& epi = {},
+                                              LaunchWindow win = {}) {
+  sim::LaunchConfig cfg = launch_config_for(sel, static_cast<int>(sizeof(T)));
+  win.apply(cfg);
+  const auto launch = [&](auto bind) {
+    return dev.launch_batched(
+        [&](std::int64_t m) {
+          const auto& [in, out] = members[static_cast<std::size_t>(m)];
+          return bind(in, out);
+        },
+        cfg, static_cast<std::int64_t>(members.size()));
+  };
+  using Buf = sim::DeviceBuffer<T>;
+  switch (sel.schema) {
+    case Schema::kCopy:
+    case Schema::kFviMatchLarge:
+      return launch([&](Buf in, Buf out) {
+        return FviLargeKernel<T>{sel.fvi_large, in, out, epi};
+      });
+    case Schema::kFviMatchSmall:
+      return launch([&](Buf in, Buf out) {
+        return FviSmallKernel<T>{sel.fvi_small, in, out, epi};
+      });
+    case Schema::kOrthogonalDistinct:
+      return launch([&](Buf in, Buf out) {
+        return OdKernel<T>{sel.od, in, out, tex.t0, tex.t1, epi};
+      });
+    case Schema::kOrthogonalArbitrary:
+      return launch([&](Buf in, Buf out) {
+        return OaKernel<T>{sel.oa, in, out, tex.t0, tex.t1, tex.t2, epi};
+      });
+  }
+  TTLG_ASSERT(false, "unreachable schema");
 }
 
 template <class T>

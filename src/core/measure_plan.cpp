@@ -43,36 +43,28 @@ std::pair<KernelSelection, double> measure_candidate(
 
   KernelSelection sel;
   sel.schema = cand.schema;
-  double t = 0;
   switch (cand.schema) {
     case Schema::kCopy:
-    case Schema::kFviMatchLarge: {
+    case Schema::kFviMatchLarge:
       sel.fvi_large = build_fvi_large_config(problem, opts.enable_coarsening);
-      t = launch_fvi_large<double>(wdev, sel.fvi_large, in, out).time_s;
       break;
-    }
-    case Schema::kFviMatchSmall: {
+    case Schema::kFviMatchSmall:
       sel.fvi_small =
           build_fvi_small_config(problem, cand.fvi_b, opts.enable_coarsening);
-      t = launch_fvi_small<double>(wdev, sel.fvi_small, in, out).time_s;
       break;
-    }
-    case Schema::kOrthogonalDistinct: {
+    case Schema::kOrthogonalDistinct:
       sel.od = build_od_config(problem, cand.od_slice);
-      auto t0 = wdev.alloc_copy<Index>(sel.od.in_offset);
-      auto t1 = wdev.alloc_copy<Index>(sel.od.out_offset);
-      t = launch_od<double>(wdev, sel.od, in, out, t0, t1).time_s;
       break;
-    }
-    case Schema::kOrthogonalArbitrary: {
+    case Schema::kOrthogonalArbitrary:
       sel.oa = build_oa_config(problem, cand.oa_slice, opts.enable_coarsening);
-      auto t0 = wdev.alloc_copy<Index>(sel.oa.input_offset);
-      auto t1 = wdev.alloc_copy<Index>(sel.oa.output_offset);
-      auto t2 = wdev.alloc_copy<Index>(sel.oa.sm_out_offset);
-      t = launch_oa<double>(wdev, sel.oa, in, out, t0, t1, t2).time_s;
       break;
-    }
   }
+  OffsetArrays tex;
+  tex.upload(wdev, sel);
+  const std::pair<sim::DeviceBuffer<double>, sim::DeviceBuffer<double>>
+      member{in, out};
+  const double t =
+      launch_generic<double>(wdev, sel, tex, {&member, 1}).front().time_s;
   return {std::move(sel), t};
 }
 

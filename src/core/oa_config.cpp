@@ -150,9 +150,9 @@ OaConfig build_oa_config(const TransposeProblem& problem, const OaSlice& slice,
   for (Index e : cfg.grid_extents) cfg.grid_blocks *= e;
   cfg.block_threads = pick_block_threads(cfg.slice_vol);
 
-  // Strength-reduced decode state (table only for materialized plans).
+  // Strength-reduced decode state.
   cfg.decoder.init(cfg.grid_extents, cfg.grid_in_strides,
-                   cfg.grid_out_strides, cfg.grid_blocks, with_offsets);
+                   cfg.grid_out_strides);
   cfg.in_vol_div = FastDiv(cfg.in_vol);
   if (cfg.mask_a_stride > 0) {
     cfg.mask_a_stride_div = FastDiv(cfg.mask_a_stride);

@@ -81,10 +81,8 @@ OdConfig build_od_config(const TransposeProblem& problem, const OdSlice& slice,
   }
   cfg.grid_blocks = 1;
   for (Index e : cfg.grid_extents) cfg.grid_blocks *= e;
-  // Table only for materialized plans (with_offsets); the slice search
-  // builds hundreds of candidate configs and needs FastDivs at most.
   cfg.decoder.init(cfg.grid_extents, cfg.grid_in_strides,
-                   cfg.grid_out_strides, cfg.grid_blocks, with_offsets);
+                   cfg.grid_out_strides);
 
   if (!with_offsets) return cfg;
 

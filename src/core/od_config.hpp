@@ -53,8 +53,7 @@ struct OdConfig {
   Index grid_blocks = 1;
   int block_threads = 256;
 
-  /// Strength-reduced block decode over the slots above (FastDiv always;
-  /// a full block table when with_offsets and the grid is small).
+  /// Strength-reduced block decode over the slots above.
   GridDecoder decoder;
 
   /// Shared-memory tile pitch; 33 = paper's padded buffer. 32 disables

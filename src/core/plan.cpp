@@ -58,12 +58,8 @@ const char* to_string(ExecPath path) {
 
 void Plan::release() {
   if (!dev_) return;
-  if (tex0_.valid()) dev_->try_free(tex0_);
-  if (tex1_.valid()) dev_->try_free(tex1_);
-  if (tex2_.valid()) dev_->try_free(tex2_);
-  if (fb_tex0_.valid()) dev_->try_free(fb_tex0_);
-  if (fb_tex1_.valid()) dev_->try_free(fb_tex1_);
-  if (fb_tex2_.valid()) dev_->try_free(fb_tex2_);
+  tex_.release(*dev_);
+  fb_tex_.release(*dev_);
   dev_ = nullptr;
 }
 
@@ -71,9 +67,7 @@ void Plan::move_from(Plan& o) {
   dev_ = o.dev_;
   problem_ = std::move(o.problem_);
   sel_ = std::move(o.sel_);
-  tex0_ = o.tex0_;
-  tex1_ = o.tex1_;
-  tex2_ = o.tex2_;
+  tex_ = o.tex_;
   plan_wall_s_ = o.plan_wall_s_;
   path_ = o.path_;
   fallback_enabled_ = o.fallback_enabled_;
@@ -81,30 +75,16 @@ void Plan::move_from(Plan& o) {
   last_path_.store(o.last_path_.load());
   exec_mu_ = std::move(o.exec_mu_);
   spec_ = std::move(o.spec_);
-  fb_oa_ = std::move(o.fb_oa_);
-  fb_tex0_ = o.fb_tex0_;
-  fb_tex1_ = o.fb_tex1_;
-  fb_tex2_ = o.fb_tex2_;
+  fb_sel_ = std::move(o.fb_sel_);
+  fb_tex_ = o.fb_tex_;
   naive_cfg_ = std::move(o.naive_cfg_);
   o.dev_ = nullptr;
-  o.tex0_ = o.tex1_ = o.tex2_ = {};
-  o.fb_tex0_ = o.fb_tex1_ = o.fb_tex2_ = {};
+  o.tex_ = o.fb_tex_ = {};
 }
 
 Index Plan::grid_blocks() const {
   TTLG_CHECK(valid(), "querying an empty plan");
-  switch (sel_.schema) {
-    case Schema::kCopy:
-    case Schema::kFviMatchLarge:
-      return sel_.fvi_large.grid_blocks;
-    case Schema::kFviMatchSmall:
-      return sel_.fvi_small.grid_blocks;
-    case Schema::kOrthogonalDistinct:
-      return sel_.od.grid_blocks;
-    case Schema::kOrthogonalArbitrary:
-      return sel_.oa.grid_blocks;
-  }
-  TTLG_ASSERT(false, "unreachable schema");
+  return launch_config_for(sel_, problem_.elem_size).grid_blocks;
 }
 
 std::string Plan::describe() const {
@@ -142,9 +122,9 @@ void Plan::finalize_specialization(bool enabled) {
     in.problem = &problem_;
     in.sel = &sel_;
     in.props = &dev_->props();
-    in.tex_base[0] = tex0_.base_addr();
-    in.tex_base[1] = tex1_.base_addr();
-    in.tex_base[2] = tex2_.base_addr();
+    in.tex_base[0] = tex_.t0.base_addr();
+    in.tex_base[1] = tex_.t1.base_addr();
+    in.tex_base[2] = tex_.t2.base_addr();
     spec_ = build_spec_program(in);
   }
   const SpecTier tier = specialization_tier();
@@ -244,23 +224,17 @@ void Plan::validate_exec_buffers(Index in_base, Index in_bytes,
 
 bool Plan::ensure_exec_oa_fallback() const {
   std::lock_guard<std::mutex> lk(*exec_mu_);
-  if (fb_oa_) return true;
+  if (fb_sel_) return true;
   try {
-    auto sel = generic_oa_selection(problem_, PerfModel(dev_->props()),
-                                    dev_->props());
-    auto cfg = std::make_unique<OaConfig>(std::move(sel.oa));
-    fb_tex0_ = dev_->alloc_copy<Index>(cfg->input_offset);
-    fb_tex1_ = dev_->alloc_copy<Index>(cfg->output_offset);
-    fb_tex2_ = dev_->alloc_copy<Index>(cfg->sm_out_offset);
-    fb_oa_ = std::move(cfg);
+    auto sel = std::make_unique<KernelSelection>(generic_oa_selection(
+        problem_, PerfModel(dev_->props()), dev_->props()));
+    fb_tex_.upload(*dev_, *sel);
+    fb_sel_ = std::move(sel);
     return true;
   } catch (const Error& e) {
     // Free whatever part of the upload survived, then let the ladder
     // proceed to the naive rung; non-retryable errors still propagate.
-    if (fb_tex0_.valid()) dev_->try_free(fb_tex0_);
-    if (fb_tex1_.valid()) dev_->try_free(fb_tex1_);
-    if (fb_tex2_.valid()) dev_->try_free(fb_tex2_);
-    fb_tex0_ = fb_tex1_ = fb_tex2_ = {};
+    fb_tex_.release(*dev_);
     if (!retryable(e.code())) throw;
     return false;
   }
@@ -285,19 +259,7 @@ Plan Plan::from_selection(sim::Device& dev, TransposeProblem problem,
   // and are shared by all thread blocks; this is plan-time work). If an
   // upload fails mid-way, `plan` unwinds through ~Plan and frees the
   // buffers that did land.
-  switch (plan.sel_.schema) {
-    case Schema::kOrthogonalDistinct:
-      plan.tex0_ = dev.alloc_copy<Index>(plan.sel_.od.in_offset);
-      plan.tex1_ = dev.alloc_copy<Index>(plan.sel_.od.out_offset);
-      break;
-    case Schema::kOrthogonalArbitrary:
-      plan.tex0_ = dev.alloc_copy<Index>(plan.sel_.oa.input_offset);
-      plan.tex1_ = dev.alloc_copy<Index>(plan.sel_.oa.output_offset);
-      plan.tex2_ = dev.alloc_copy<Index>(plan.sel_.oa.sm_out_offset);
-      break;
-    default:
-      break;
-  }
+  plan.tex_.upload(dev, plan.sel_);
   return plan;
 }
 

@@ -140,6 +140,8 @@ class Plan {
                           out.size() * static_cast<Index>(sizeof(T)),
                           out.valid());
     const Epilogue<T> epi{alpha, beta};
+    const std::pair<sim::DeviceBuffer<T>, sim::DeviceBuffer<T>> member{in,
+                                                                        out};
     sim::LaunchResult res;
 
     if (path_ == ExecPath::kNaive) {
@@ -152,7 +154,7 @@ class Plan {
     // Rung 1: the planned kernel, with bounded retry.
     for (int attempt = 0;;) {
       try {
-        res = launch_planned<T>(in, out, epi);
+        res = launch_planned<T>({&member, 1}, epi).front();
         last_path_ = path_;
         record_execution(res, /*planned_kernel=*/true);
         return res;
@@ -179,8 +181,8 @@ class Plan {
     if (sel_.schema != Schema::kOrthogonalArbitrary &&
         ensure_exec_oa_fallback()) {
       try {
-        res = launch_oa<T>(*dev_, *fb_oa_, in, out, fb_tex0_, fb_tex1_,
-                           fb_tex2_, epi);
+        res = launch_generic<T>(*dev_, *fb_sel_, fb_tex_, {&member, 1}, epi)
+                  .front();
         last_path_ = ExecPath::kGenericOa;
         note_recovered();
         record_execution(res, /*planned_kernel=*/false);
@@ -246,8 +248,11 @@ class Plan {
                           in.valid(), out.base_addr(),
                           out.size() * static_cast<Index>(sizeof(T)),
                           out.valid());
+    const std::pair<sim::DeviceBuffer<T>, sim::DeviceBuffer<T>> member{in,
+                                                                        out};
     sim::LaunchResult res =
-        launch_planned<T>(in, out, Epilogue<T>{alpha, beta}, win);
+        launch_planned<T>({&member, 1}, Epilogue<T>{alpha, beta}, win)
+            .front();
     last_path_ = path_;
     // No record_execution: the model predicted the FULL grid, so a
     // window would pollute the accuracy residuals.
@@ -255,7 +260,7 @@ class Plan {
   }
 
   /// Fused batched execution: the planned kernel applied to every
-  /// (in, out) member pair through ONE super-grid thread-pool dispatch
+  /// (in, out) member pair through ONE super-grid dispatch
   /// (sim::Device::launch_batched) instead of members.size() separate
   /// executes — the launch-overhead fix for small repeated tensors.
   /// Per-member LaunchResults (counters, times, outputs) are
@@ -266,9 +271,7 @@ class Plan {
   /// the fallback to the per-member loop with its full ladder.
   template <class T>
   std::vector<sim::LaunchResult> execute_batched(
-      std::span<const std::pair<sim::DeviceBuffer<T>, sim::DeviceBuffer<T>>>
-          members,
-      T alpha = T{1}, T beta = T{0}) const {
+      MemberSpan<T> members, T alpha = T{1}, T beta = T{0}) const {
     TTLG_CHECK(valid(), "executing an empty plan");
     TTLG_CHECK(!members.empty(), "empty batch");
     TTLG_CHECK_CODE(path_ == ExecPath::kPlanned, ErrorCode::kUnsupported,
@@ -285,13 +288,8 @@ class Plan {
                             out.size() * static_cast<Index>(sizeof(T)),
                             out.valid());
     }
-    const Epilogue<T> epi{alpha, beta};
-    std::vector<sim::LaunchResult> res;
-    if (spec_ && epi.is_identity()) {
-      res = launch_specialized_batched<T>(*dev_, *spec_, sel_, members);
-    } else {
-      res = launch_generic_batched<T>(members, epi);
-    }
+    std::vector<sim::LaunchResult> res =
+        launch_planned<T>(members, Epilogue<T>{alpha, beta});
     last_path_ = path_;
     for (const sim::LaunchResult& r : res)
       record_execution(r, /*planned_kernel=*/true);
@@ -317,77 +315,19 @@ class Plan {
   void release();
   void move_from(Plan& o);
 
-  /// Dispatch the model-selected kernel (rung 1 of the ladder).
+  /// Dispatch the model-selected kernel (rung 1 of the ladder) over
+  /// every member: a single execution is a batch of one.
   template <class T>
-  sim::LaunchResult launch_planned(sim::DeviceBuffer<T> in,
-                                   sim::DeviceBuffer<T> out,
-                                   const Epilogue<T>& epi,
-                                   LaunchWindow win = {}) const {
+  std::vector<sim::LaunchResult> launch_planned(MemberSpan<T> members,
+                                                const Epilogue<T>& epi,
+                                                LaunchWindow win = {}) const {
     // Specialized fast path: bit-identical to the generic kernels in
     // outputs, counters and simulated times (enforced at build time by
     // the program verifier). Epilogues read/scale data the compiled
     // copy tables move verbatim, so only identity launches qualify.
-    if (spec_ && epi.is_identity()) {
-      return launch_specialized<T>(*dev_, *spec_, sel_, in, out, win);
-    }
-    switch (sel_.schema) {
-      case Schema::kCopy:
-      case Schema::kFviMatchLarge:
-        return launch_fvi_large<T>(*dev_, sel_.fvi_large, in, out, epi, win);
-      case Schema::kFviMatchSmall:
-        return launch_fvi_small<T>(*dev_, sel_.fvi_small, in, out, epi, win);
-      case Schema::kOrthogonalDistinct:
-        return launch_od<T>(*dev_, sel_.od, in, out, tex0_, tex1_, epi, win);
-      case Schema::kOrthogonalArbitrary:
-        return launch_oa<T>(*dev_, sel_.oa, in, out, tex0_, tex1_, tex2_,
-                            epi, win);
-    }
-    TTLG_ASSERT(false, "unreachable schema");
-  }
-
-  /// Generic-kernel batched dispatch (the non-specialized half of
-  /// execute_batched): the schema's kernel body per member, launch
-  /// config from the shared make_*_cfg builders — identical geometry
-  /// to the single-member launches it replaces.
-  template <class T>
-  std::vector<sim::LaunchResult> launch_generic_batched(
-      std::span<const std::pair<sim::DeviceBuffer<T>, sim::DeviceBuffer<T>>>
-          members,
-      const Epilogue<T>& epi) const {
-    const int es = problem_.elem_size;
-    const std::int64_t n = static_cast<std::int64_t>(members.size());
-    switch (sel_.schema) {
-      case Schema::kCopy:
-      case Schema::kFviMatchLarge:
-        return dev_->launch_batched(
-            [&](std::int64_t m) {
-              const auto& [in, out] = members[static_cast<std::size_t>(m)];
-              return FviLargeKernel<T>{sel_.fvi_large, in, out, epi};
-            },
-            make_fvi_large_cfg(sel_.fvi_large, es), n);
-      case Schema::kFviMatchSmall:
-        return dev_->launch_batched(
-            [&](std::int64_t m) {
-              const auto& [in, out] = members[static_cast<std::size_t>(m)];
-              return FviSmallKernel<T>{sel_.fvi_small, in, out, epi};
-            },
-            make_fvi_small_cfg(sel_.fvi_small, es), n);
-      case Schema::kOrthogonalDistinct:
-        return dev_->launch_batched(
-            [&](std::int64_t m) {
-              const auto& [in, out] = members[static_cast<std::size_t>(m)];
-              return OdKernel<T>{sel_.od, in, out, tex0_, tex1_, epi};
-            },
-            make_od_cfg(sel_.od, es), n);
-      case Schema::kOrthogonalArbitrary:
-        return dev_->launch_batched(
-            [&](std::int64_t m) {
-              const auto& [in, out] = members[static_cast<std::size_t>(m)];
-              return OaKernel<T>{sel_.oa, in, out, tex0_, tex1_, tex2_, epi};
-            },
-            make_oa_cfg(sel_.oa, es), n);
-    }
-    TTLG_ASSERT(false, "unreachable schema");
+    if (spec_ && epi.is_identity())
+      return launch_specialized<T>(*dev_, *spec_, sel_, members, win);
+    return launch_generic<T>(*dev_, sel_, tex_, members, epi, win);
   }
 
   /// Out-of-place + materialization guards shared by all rungs.
@@ -412,10 +352,8 @@ class Plan {
   sim::Device* dev_ = nullptr;
   TransposeProblem problem_;
   KernelSelection sel_;
-  // Offset indirection arrays resident in (texture) device memory:
-  // OD uses tex0 = in_offset, tex1 = out_offset;
-  // OA uses tex0 = input_offset, tex1 = output_offset, tex2 = sm_out.
-  sim::DeviceBuffer<Index> tex0_, tex1_, tex2_;
+  // Offset indirection arrays resident in (texture) device memory.
+  OffsetArrays tex_;
   // Compiled stride program (plan-time specialization); null = generic.
   // Shared so moved-from plans and copies of the launch path never
   // dangle; the program itself stores no pointers into sel_.
@@ -435,8 +373,8 @@ class Plan {
   mutable std::atomic<ExecPath> last_path_{ExecPath::kPlanned};
   mutable std::unique_ptr<std::mutex> exec_mu_ =
       std::make_unique<std::mutex>();
-  mutable std::unique_ptr<OaConfig> fb_oa_;
-  mutable sim::DeviceBuffer<Index> fb_tex0_, fb_tex1_, fb_tex2_;
+  mutable std::unique_ptr<KernelSelection> fb_sel_;
+  mutable OffsetArrays fb_tex_;
   mutable std::unique_ptr<NaiveConfig> naive_cfg_;
 };
 

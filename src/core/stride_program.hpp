@@ -7,8 +7,8 @@
 //   - a block-invariant LaunchCounters delta (smem ops, bank conflicts,
 //     barriers, special/fma ops, texture transactions, payload bytes),
 //   - the warp-collective global accesses as base-relative runs or
-//     sorted offset tables (extending GridDecoder's block-level table
-//     down to lane level),
+//     sorted offset tables (relative to GridDecoder's block-level base
+//     offsets),
 //   - the texture lines touched, in first-touch order, and
 //   - a fused gather/scatter copy table for functional execution.
 //
@@ -27,8 +27,7 @@
 // Each representative takes ONE kernel pass that feeds both the recorder
 // and that BlockCtx, which counts on its own. Any mismatch — or an
 // untraceable dataflow, or a program too big to amortize — degrades the
-// plan to the generic per-lane path (tier kGeneric), mirroring the
-// kGridTableMaxBlocks fallback policy.
+// plan to the generic per-lane path (tier kGeneric).
 #pragma once
 
 #include <cstdint>
@@ -48,19 +47,18 @@ namespace ttlg {
 enum class SpecTier : int {
   kGeneric = 0,        ///< no program: generic per-lane kernel
   kStrideProgram = 1,  ///< program via the generic interpreter (rank
-                       ///< above the largest dispatch-table bucket)
-  kTemplated = 2,      ///< program via a (schema, rank bucket, width)
-                       ///< templated kernel variant
+                       ///< above the largest templated bucket)
+  kTemplated = 2,      ///< program via the fixed-rank (decode rank
+                       ///< 1..kSpecMaxRankBucket) kernel variant
   kAffineBulk = 3,     ///< all accesses affine runs: whole-tile
                        ///< closed-form transaction charging
 };
 
 const char* to_string(SpecTier tier);
 
-/// Amortization cap on the compiled program footprint, mirroring the
-/// kGridTableMaxBlocks policy: a program bigger than this costs more to
-/// build and drag through the cache than the per-lane work it saves, so
-/// the plan stays generic instead.
+/// Amortization cap on the compiled program footprint: a program
+/// bigger than this costs more to build and drag through the cache than
+/// the per-lane work it saves, so the plan stays generic instead.
 inline constexpr std::int64_t kSpecProgramMaxBytes = std::int64_t{4} << 20;
 
 /// One recorded warp-collective global access. Offsets are ELEMENT

@@ -141,6 +141,30 @@ void Device::check_injected_launch_faults(const LaunchConfig& cfg) const {
   }
 }
 
+void Device::note_dispatch(const LaunchConfig& cfg,
+                           const std::vector<LaunchResult>& results,
+                           bool telem, double start_us) const {
+  const auto emit = [&](const LaunchConfig& c, const LaunchResult& r) {
+    if (telem)
+      record_launch_telemetry(c, r, start_us);
+    else
+      log_launch(c, r);
+  };
+  if (results.size() == 1) return emit(cfg, results.front());
+  LaunchResult agg;
+  for (const LaunchResult& r : results) {
+    agg.counters += r.counters;
+    agg.time_s += r.time_s;
+  }
+  agg.counters.block_threads = cfg.block_threads;
+  agg.counters.shared_bytes_per_block = cfg.shared_elems * cfg.elem_size;
+  agg.timing = kernel_timing(props_, agg.counters);
+  LaunchConfig fused = cfg;
+  fused.grid_blocks = agg.counters.grid_blocks;
+  fused.kernel_name += "+batched";
+  emit(fused, agg);
+}
+
 double Device::telemetry_now_us() {
   return telemetry::TraceCollector::global().now_us();
 }

@@ -155,137 +155,94 @@ class Device {
     return bytes_allocated_;
   }
 
-  /// Run `kernel(BlockCtx&)` over the whole grid and return counters +
-  /// simulated time. In count-only mode with sampling enabled and block
-  /// classes supplied, only a few representative blocks per
-  /// equivalence class execute; counters are scaled by multiplicity.
+  /// Run `kernel(BlockCtx&)` over the whole grid (or the cfg window) and
+  /// return counters + simulated time: the one-member case of
+  /// launch_batched, which holds the only block engine.
   template <class Kernel>
   LaunchResult launch(Kernel&& kernel, const LaunchConfig& cfg) {
-    validate(cfg);
-    // Fault-injection sites fire BEFORE any block runs, so a failed
-    // launch has no side effects (matching real launch failures).
-    if (FaultInjector::global().armed()) check_injected_launch_faults(cfg);
-    // One branch on the off path; everything else lives in device.cpp.
-    const bool telem = telemetry::counters_enabled();
-    const double telem_start_us = telem ? telemetry_now_us() : 0.0;
-    LaunchResult res;
-    res.counters.grid_blocks = cfg.grid_blocks;
-    res.counters.block_threads = cfg.block_threads;
-    res.counters.shared_bytes_per_block = cfg.shared_elems * cfg.elem_size;
-
-    std::vector<std::byte> smem(
-        static_cast<std::size_t>(cfg.shared_elems * cfg.elem_size));
-    TextureCache tex(props_.tex_cache_lines, props_.tex_line_bytes);
-
-    if (mode_ == ExecMode::kCountOnly && sampling_ > 0 && cfg.classes) {
-      run_sampled(kernel, cfg, res, smem, tex);
-    } else if (const int nthreads = launch_parallelism(cfg.grid_blocks);
-               nthreads > 1) {
-      run_parallel(kernel, cfg, res, tex, nthreads);
-    } else {
-      const PatternCachePool::Lease pc = pattern_pool_.acquire(pattern_cache_);
-      for (std::int64_t b = cfg.block_offset;
-           b < cfg.block_offset + cfg.grid_blocks; ++b) {
-        BlockCtx blk(b, cfg.block_threads, mode_, props_, res.counters,
-                     smem.data(), cfg.shared_elems, tex, cfg.tex_capture,
-                     pc.get());
-        kernel(blk);
-      }
-    }
-    res.timing = kernel_timing(props_, res.counters);
-    res.time_s = res.timing.total_s;
-    if (telem)
-      record_launch_telemetry(cfg, res, telem_start_us);
-    else if (telemetry::log_site_enabled(telemetry::LogLevel::kDebug))
-      log_launch(cfg, res);  // structured log wants launches even when
-                             // the counters level is off
-    return res;
+    const auto same_kernel = [&kernel](std::int64_t) -> const auto& {
+      return kernel;
+    };
+    return std::move(launch_batched(same_kernel, cfg, 1).front());
   }
 
-  /// Fused batched launch: execute `make_kernel(m)` for every member m
-  /// in [0, num_members) over ONE super-grid of num_members *
-  /// cfg.grid_blocks blocks — a single thread-pool dispatch instead of
-  /// num_members separate launches (the launch-overhead regime where
-  /// small tensors lose). `cfg` describes one member's launch: a whole
-  /// grid (zero block offset) with no texture capture; the block ids
-  /// handed to each member's kernel are the member-LOCAL ids it would
-  /// see in its own launch, so kernels need no batching awareness.
+  /// The block engine: execute `make_kernel(m)` for every member m in
+  /// [0, num_members) over ONE super-grid of num_members *
+  /// cfg.grid_blocks blocks — a single dispatch instead of num_members
+  /// separate launches (the launch-overhead regime where small tensors
+  /// lose). `cfg` describes one member's launch. Block ids handed to a
+  /// member's kernel are the ids it would see in its own launch, so
+  /// kernels need no batching awareness. A window (cfg.block_offset,
+  /// ids stay absolute) and cfg.tex_capture are accepted only for a
+  /// single member.
   ///
+  /// Blocks run serially, on the parallel engine (run_parallel_segments)
+  /// or, in count-only mode with sampling enabled and block classes
+  /// supplied, sampled per member (run_sampled: a few representative
+  /// blocks per equivalence class, counters scaled by multiplicity).
   /// The returned per-member LaunchResults — counters, timing and
   /// simulated times, texture misses included — are bit-identical to
-  /// num_members individual launch() calls at every thread count:
-  /// chunk workers stream across member boundaries with per-segment
-  /// counter shards reduced in chunk-index (= block) order, and each
-  /// member's block-ordered texture log is replayed through its own
-  /// fresh TextureCache — exactly the cold cache an individual launch
-  /// starts from. Fault-injection sites fire once, BEFORE any block
-  /// runs, so a failed fused launch has no side effects.
+  /// num_members individual one-member launches at every thread count:
+  /// each member's texture accesses go through a cold cache, exactly
+  /// as an individual launch starts. Fault-injection sites fire once,
+  /// BEFORE any block runs, so a failed launch has no side effects
+  /// (matching real launch failures).
   template <class KernelFactory>
   std::vector<LaunchResult> launch_batched(KernelFactory&& make_kernel,
                                            const LaunchConfig& cfg,
                                            std::int64_t num_members) {
     TTLG_CHECK(num_members > 0, "batched launch needs at least one member");
-    TTLG_CHECK(cfg.block_offset == 0 && cfg.tex_capture == nullptr,
-               "batched launches take whole-grid member configs");
+    TTLG_CHECK(num_members == 1 ||
+                   (cfg.block_offset == 0 && cfg.tex_capture == nullptr),
+               "fused multi-member launches take whole-grid member configs");
     validate(cfg);
     if (FaultInjector::global().armed()) check_injected_launch_faults(cfg);
-
-    std::vector<LaunchResult> results(static_cast<std::size_t>(num_members));
-    // Sampled counting scales representative blocks per class; its
-    // cache-warming protocol is per-launch state, so the members run
-    // through the unfused path (bit-identity is the contract, and a
-    // sampled sweep is not the launch-overhead regime fusion targets).
-    if (mode_ == ExecMode::kCountOnly && sampling_ > 0 && cfg.classes) {
-      for (std::int64_t m = 0; m < num_members; ++m)
-        results[static_cast<std::size_t>(m)] = launch(make_kernel(m), cfg);
-      return results;
-    }
-
+    // One branch on the off path; everything else lives in device.cpp.
     const bool telem = telemetry::counters_enabled();
     const double telem_start_us = telem ? telemetry_now_us() : 0.0;
+
+    std::vector<LaunchResult> results(static_cast<std::size_t>(num_members));
     for (LaunchResult& r : results) {
       r.counters.grid_blocks = cfg.grid_blocks;
       r.counters.block_threads = cfg.block_threads;
       r.counters.shared_bytes_per_block = cfg.shared_elems * cfg.elem_size;
     }
-    const std::int64_t total = cfg.grid_blocks * num_members;
-    if (const int nthreads = launch_parallelism(total); nthreads > 1) {
-      run_batched_parallel(make_kernel, cfg, results, nthreads);
+    std::vector<std::byte> smem(
+        static_cast<std::size_t>(cfg.shared_elems * cfg.elem_size));
+    TextureCache tex(props_.tex_cache_lines, props_.tex_line_bytes);
+    if (mode_ == ExecMode::kCountOnly && sampling_ > 0 && cfg.classes) {
+      for (std::int64_t m = 0; m < num_members; ++m) {
+        tex.reset();  // each member starts cold
+        run_sampled(make_kernel(m), cfg,
+                    results[static_cast<std::size_t>(m)], smem, tex);
+      }
+    } else if (const int nthreads =
+                   launch_parallelism(cfg.grid_blocks * num_members);
+               nthreads > 1) {
+      run_parallel_segments(make_kernel, cfg, results, tex, nthreads);
     } else {
       const PatternCachePool::Lease pc = pattern_pool_.acquire(pattern_cache_);
-      std::vector<std::byte> smem(
-          static_cast<std::size_t>(cfg.shared_elems * cfg.elem_size));
       for (std::int64_t m = 0; m < num_members; ++m) {
         LaunchResult& r = results[static_cast<std::size_t>(m)];
-        // Fresh cache per member: an individual launch starts cold.
-        TextureCache tex(props_.tex_cache_lines, props_.tex_line_bytes);
-        auto kernel = make_kernel(m);
-        for (std::int64_t b = 0; b < cfg.grid_blocks; ++b) {
+        tex.reset();
+        decltype(auto) kernel = make_kernel(m);
+        for (std::int64_t b = cfg.block_offset;
+             b < cfg.block_offset + cfg.grid_blocks; ++b) {
           BlockCtx blk(b, cfg.block_threads, mode_, props_, r.counters,
-                       smem.data(), cfg.shared_elems, tex, nullptr, pc.get());
+                       smem.data(), cfg.shared_elems, tex, cfg.tex_capture,
+                       pc.get());
           kernel(blk);
         }
       }
     }
-    LaunchResult agg;
     for (LaunchResult& r : results) {
       r.timing = kernel_timing(props_, r.counters);
       r.time_s = r.timing.total_s;
-      agg.counters += r.counters;
-      agg.time_s += r.time_s;
     }
-    agg.counters.block_threads = cfg.block_threads;
-    agg.counters.shared_bytes_per_block = cfg.shared_elems * cfg.elem_size;
-    agg.timing = kernel_timing(props_, agg.counters);
-    // One telemetry record for the whole fused launch (sim.launches
-    // counts dispatches, which is exactly what fusion reduces).
-    LaunchConfig fused = cfg;
-    fused.grid_blocks = total;
-    fused.kernel_name += "+batched";
-    if (telem)
-      record_launch_telemetry(fused, agg, telem_start_us);
-    else if (telemetry::log_site_enabled(telemetry::LogLevel::kDebug))
-      log_launch(fused, agg);
+    // The structured log wants launches even when the counters level is
+    // off.
+    if (telem || telemetry::log_site_enabled(telemetry::LogLevel::kDebug))
+      note_dispatch(cfg, results, telem, telem_start_us);
     return results;
   }
 
@@ -300,82 +257,34 @@ class Device {
         std::min<std::int64_t>(resolved, grid_blocks));
   }
 
-  /// The parallel block-execution engine. The grid is split into
-  /// contiguous chunks; each chunk runs blocks in order with a private
-  /// LaunchCounters shard, a private (zero-initialized) shared-memory
-  /// arena and a private texture-access log. After the pool joins,
-  /// shards are reduced in CHUNK INDEX order (fixed block-order
-  /// reduction, never arrival order) and the texture logs are replayed
-  /// through the launch's single TextureCache, also in block order —
-  /// so counter totals, tex_misses included, are bit-identical to the
-  /// sequential engine at any thread count. Per-chunk smem arenas are
-  /// observationally equivalent to the shared sequential arena because
-  /// every kernel writes its shared tile before reading it.
-  template <class Kernel>
-  void run_parallel(const Kernel& kernel, const LaunchConfig& cfg,
-                    LaunchResult& res, TextureCache& tex, int nthreads) {
-    const std::int64_t nb = cfg.grid_blocks;
+  /// The parallel block-execution engine: one run_indexed dispatch over
+  /// the super-grid [0, num_members * cfg.grid_blocks), split into
+  /// contiguous chunks. A chunk runs blocks in order with a private
+  /// (zero-initialized) shared-memory arena; whenever its block range
+  /// enters a new member it opens a new SEGMENT (member id, counter
+  /// shard, texture log) and keeps streaming — no return to the
+  /// dispatcher between members. After the pool joins, segments are
+  /// reduced in CHUNK order (fixed block order, never arrival order)
+  /// and the texture logs are replayed in that order through `tex`,
+  /// reset at each member boundary. Segments of one member are
+  /// consecutive in chunk order and cover its blocks in ascending
+  /// order, so counter totals, tex_misses included, are bit-identical
+  /// to the serial engine at any thread count. Per-chunk smem arenas
+  /// are observationally equivalent to the shared serial arena because
+  /// every kernel writes its shared tile before reading it. With
+  /// cfg.tex_capture set (one member only) the block-ordered log is
+  /// handed to the caller instead of replayed; the caller owns the
+  /// cross-window replay and the misses it produces.
+  template <class KernelFactory>
+  void run_parallel_segments(const KernelFactory& make_kernel,
+                             const LaunchConfig& cfg,
+                             std::vector<LaunchResult>& results,
+                             TextureCache& tex, int nthreads) {
+    const std::int64_t bpm = cfg.grid_blocks;
+    const std::int64_t total =
+        bpm * static_cast<std::int64_t>(results.size());
     // A few chunks per thread keeps the atomic-cursor load balancing
     // effective when block costs are skewed (remainder blocks).
-    const std::int64_t nchunks = std::min<std::int64_t>(
-        nb, static_cast<std::int64_t>(nthreads) * 4);
-    struct Shard {
-      LaunchCounters ctr;
-      std::vector<std::int64_t> tex_log;
-    };
-    std::vector<Shard> shards(static_cast<std::size_t>(nchunks));
-    ThreadPool::global().run_indexed(
-        nchunks, nthreads, [&](std::int64_t c) {
-          const std::int64_t lo = cfg.block_offset + nb * c / nchunks;
-          const std::int64_t hi = cfg.block_offset + nb * (c + 1) / nchunks;
-          std::vector<std::byte> smem(
-              static_cast<std::size_t>(cfg.shared_elems * cfg.elem_size));
-          // One pattern-cache lease per chunk: no sharing between host
-          // threads, and cached == recomputed keeps totals bit-identical
-          // regardless of which chunk warmed which cache.
-          const PatternCachePool::Lease pc =
-              pattern_pool_.acquire(pattern_cache_);
-          Shard& sh = shards[static_cast<std::size_t>(c)];
-          for (std::int64_t b = lo; b < hi; ++b) {
-            BlockCtx blk(b, cfg.block_threads, mode_, props_, sh.ctr,
-                         smem.data(), cfg.shared_elems, tex, &sh.tex_log,
-                         pc.get());
-            kernel(blk);
-          }
-        });
-    for (const Shard& sh : shards) {
-      res.counters += sh.ctr;
-      if (cfg.tex_capture != nullptr) {
-        // Capture mode: hand the block-ordered log to the caller
-        // instead of replaying it; the caller owns the cross-window
-        // replay (and the misses it produces).
-        cfg.tex_capture->insert(cfg.tex_capture->end(), sh.tex_log.begin(),
-                                sh.tex_log.end());
-      } else {
-        for (const std::int64_t addr : sh.tex_log) {
-          if (!tex.access(addr)) ++res.counters.tex_misses;
-        }
-      }
-    }
-  }
-
-  /// Parallel engine for launch_batched: one run_indexed dispatch over
-  /// the super-grid [0, num_members * cfg.grid_blocks). A chunk whose
-  /// block range crosses a member boundary opens a new SEGMENT (member
-  /// id, counter shard, texture log) and keeps streaming — no return to
-  /// the dispatcher between members. Segments of one member appear in
-  /// ascending chunk order and cover its blocks in ascending order, so
-  /// the chunk-order reduction and the per-member fresh-cache replay
-  /// reproduce the individual launches' totals exactly.
-  template <class KernelFactory>
-  void run_batched_parallel(const KernelFactory& make_kernel,
-                            const LaunchConfig& cfg,
-                            std::vector<LaunchResult>& results,
-                            int nthreads) {
-    const std::int64_t bpm = cfg.grid_blocks;
-    const std::int64_t num_members =
-        static_cast<std::int64_t>(results.size());
-    const std::int64_t total = bpm * num_members;
     const std::int64_t nchunks = std::min<std::int64_t>(
         total, static_cast<std::int64_t>(nthreads) * 4);
     struct Segment {
@@ -385,15 +294,15 @@ class Device {
     };
     std::vector<std::vector<Segment>> chunks(
         static_cast<std::size_t>(nchunks));
-    // Shared across chunks but never probed: every BlockCtx below
-    // carries a texture log, which records instead of accessing.
-    TextureCache tex(props_.tex_cache_lines, props_.tex_line_bytes);
     ThreadPool::global().run_indexed(
         nchunks, nthreads, [&](std::int64_t c) {
           const std::int64_t lo = total * c / nchunks;
           const std::int64_t hi = total * (c + 1) / nchunks;
           std::vector<std::byte> smem(
               static_cast<std::size_t>(cfg.shared_elems * cfg.elem_size));
+          // One pattern-cache lease per chunk: no sharing between host
+          // threads, and cached == recomputed keeps totals bit-identical
+          // regardless of which chunk warmed which cache.
           const PatternCachePool::Lease pc =
               pattern_pool_.acquire(pattern_cache_);
           std::vector<Segment>& segs = chunks[static_cast<std::size_t>(c)];
@@ -404,28 +313,34 @@ class Device {
             const std::int64_t seg_hi = std::min(hi, base + bpm);
             Segment& sg = segs.emplace_back();
             sg.member = m;
-            auto kernel = make_kernel(m);
+            decltype(auto) kernel = make_kernel(m);
+            // Every BlockCtx carries a log, so `tex` is never probed here.
             for (; b < seg_hi; ++b) {
-              BlockCtx blk(b - base, cfg.block_threads, mode_, props_,
-                           sg.ctr, smem.data(), cfg.shared_elems, tex,
-                           &sg.tex_log, pc.get());
+              BlockCtx blk(cfg.block_offset + b - base, cfg.block_threads,
+                           mode_, props_, sg.ctr, smem.data(),
+                           cfg.shared_elems, tex, &sg.tex_log, pc.get());
               kernel(blk);
             }
           }
         });
-    std::vector<std::vector<std::int64_t>> logs(
-        static_cast<std::size_t>(num_members));
+    std::int64_t replaying = -1;
     for (const std::vector<Segment>& segs : chunks) {
       for (const Segment& sg : segs) {
-        const std::size_t m = static_cast<std::size_t>(sg.member);
-        results[m].counters += sg.ctr;
-        logs[m].insert(logs[m].end(), sg.tex_log.begin(), sg.tex_log.end());
-      }
-    }
-    for (std::size_t m = 0; m < logs.size(); ++m) {
-      TextureCache member_tex(props_.tex_cache_lines, props_.tex_line_bytes);
-      for (const std::int64_t addr : logs[m]) {
-        if (!member_tex.access(addr)) ++results[m].counters.tex_misses;
+        LaunchCounters& ctr =
+            results[static_cast<std::size_t>(sg.member)].counters;
+        ctr += sg.ctr;
+        if (cfg.tex_capture != nullptr) {
+          cfg.tex_capture->insert(cfg.tex_capture->end(), sg.tex_log.begin(),
+                                  sg.tex_log.end());
+          continue;
+        }
+        if (sg.member != replaying) {
+          replaying = sg.member;
+          tex.reset();  // each member starts cold
+        }
+        for (const std::int64_t addr : sg.tex_log) {
+          if (!tex.access(addr)) ++ctr.tex_misses;
+        }
       }
     }
   }
@@ -483,9 +398,16 @@ class Device {
     }
   }
 
-  /// Telemetry sinks for launch(), kept out of the template: registry
-  /// counters at kCounters and a per-launch trace event (with the full
-  /// LaunchCounters as args) at kTrace.
+  /// Telemetry for one dispatch, kept out of the template: ONE record
+  /// per launch_batched call (sim.launches counts dispatches, which is
+  /// exactly what fusion reduces). A fused multi-member dispatch is
+  /// recorded as kernel "<name>+batched" over the whole super-grid with
+  /// the members' summed counters and times.
+  void note_dispatch(const LaunchConfig& cfg,
+                     const std::vector<LaunchResult>& results, bool telem,
+                     double start_us) const;
+  /// Telemetry sinks: registry counters at kCounters and a per-launch
+  /// trace event (with the full LaunchCounters as args) at kTrace.
   static double telemetry_now_us();
   void record_launch_telemetry(const LaunchConfig& cfg,
                                const LaunchResult& res,

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "gpusim/device.hpp"
+#include "telemetry/metrics.hpp"
+#include "telemetry/telemetry.hpp"
+#include "telemetry/trace.hpp"
 
 namespace ttlg::sim {
 namespace {
@@ -186,6 +191,154 @@ TEST(Device, SampledLaunchPicksEvenlySpreadOccurrencesOfEachClass) {
     std::vector<std::int64_t> seen;
     dev.launch(RecordBlocksKernel{&seen}, cfg);
     ASSERT_EQ(seen, want) << "iter " << iter;
+  }
+}
+
+// Telemetry of the one block engine: every dispatch — a single launch,
+// a batch of one or a fused batch, sampled or not — is one
+// `sim.launches` tick and one trace event, and only a dispatch that
+// fuses more than one member is named "+batched".
+TEST(Device, EachDispatchIsOneLaunchAndOnlyFusedBatchesAreNamedBatched) {
+  const telemetry::ScopedLevel scoped(telemetry::Level::kTrace);
+  auto& reg = telemetry::MetricsRegistry::global();
+  auto& tc = telemetry::TraceCollector::global();
+  reg.clear();
+  tc.clear();
+
+  // Count-only: fused members share one buffer pair, so a functional
+  // run would have them race on the output.
+  Device dev;
+  dev.set_num_threads(3);
+  dev.set_mode(ExecMode::kCountOnly);
+  auto in = dev.alloc_virtual<double>(32 * 64);
+  auto out = dev.alloc_virtual<double>(32 * 64);
+  LaunchConfig cfg;
+  cfg.grid_blocks = 64;
+  cfg.block_threads = 32;
+  cfg.kernel_name = "copy";
+  const auto factory = [&](std::int64_t) { return CopyBlockKernel{in, out}; };
+
+  std::vector<std::string> want_names;
+  std::int64_t want_blocks = 0;
+  const auto expect_dispatch = [&](const char* name, std::int64_t blocks) {
+    want_names.push_back(std::string("launch:") + name);
+    want_blocks += blocks;
+    EXPECT_EQ(reg.counter_value("sim.launches"),
+              static_cast<std::int64_t>(want_names.size()));
+    EXPECT_EQ(reg.counter_value("sim.blocks"), want_blocks);
+  };
+  dev.launch(CopyBlockKernel{in, out}, cfg);
+  expect_dispatch("copy", 64);
+  EXPECT_EQ(dev.launch_batched(factory, cfg, 1).size(), 1u);
+  expect_dispatch("copy", 64);
+  EXPECT_EQ(dev.launch_batched(factory, cfg, 3).size(), 3u);
+  expect_dispatch("copy+batched", 3 * 64);
+
+  // Sampled counting runs per member but is still one dispatch.
+  dev.set_sampling(2);
+  cfg.classes = ChunkClasses{};
+  dev.launch(CopyBlockKernel{in, out}, cfg);
+  expect_dispatch("copy", 64);
+  dev.launch_batched(factory, cfg, 4);
+  expect_dispatch("copy+batched", 4 * 64);
+
+  std::vector<std::string> names;
+  for (const auto& ev : tc.events())
+    if (ev.cat == "sim") names.push_back(ev.name);
+  EXPECT_EQ(names, want_names);
+  reg.clear();
+  tc.clear();
+}
+
+/// Each block texture-loads 32 consecutive offsets starting at a
+/// block-dependent element, then copies one warp of payload.
+struct TexBlockKernel {
+  DeviceBuffer<std::int64_t> offsets;
+  DeviceBuffer<double> in, out;
+  static std::int64_t first_offset(std::int64_t block) {
+    return block * 7 % 40;
+  }
+  void operator()(BlockCtx& blk) const {
+    LaneArray t;
+    LaneValues<std::int64_t> o{};
+    for (int l = 0; l < kWarpSize; ++l)
+      t.set(l, first_offset(blk.block_id()) + l);
+    blk.tld(offsets, t, o);
+    LaneArray a;
+    LaneValues<double> v{};
+    for (int l = 0; l < kWarpSize; ++l)
+      a.set(l, blk.block_id() * kWarpSize + l);
+    blk.gld(in, a, v);
+    blk.gst(out, a, v);
+  }
+};
+
+// A windowed launch with texture capture executes the absolute block
+// ids of its window, records every touched texture line in block order
+// instead of probing a cache, and reports no misses of its own. The
+// capture log and the counters are the same on the serial engine
+// (threads 1) and the parallel one (threads 3), and replaying the
+// windows' logs through one cache reproduces the full launch's misses.
+TEST(Device, WindowedTextureCaptureIsThreadInvariant) {
+  constexpr std::int64_t kGrid = 64;
+  const std::int64_t windows[][2] = {{0, 24}, {24, kGrid - 24}};
+  std::vector<std::int64_t> logs[2][2];
+  LaunchCounters ctrs[2][2];
+  for (int ti = 0; ti < 2; ++ti) {
+    Device dev;
+    dev.set_num_threads(ti == 0 ? 1 : 3);
+    std::vector<std::int64_t> host_offsets(80);
+    auto offsets = dev.alloc_copy<std::int64_t>(host_offsets);
+    auto in = dev.alloc<double>(32 * kGrid);
+    auto out = dev.alloc<double>(32 * kGrid);
+    const TexBlockKernel kernel{offsets, in, out};
+    LaunchConfig cfg;
+    cfg.grid_blocks = kGrid;
+    cfg.block_threads = 32;
+    cfg.uses_texture = true;
+    const LaunchResult full = dev.launch(kernel, cfg);
+
+    // Expected log: each block's distinct lines, first-touch order.
+    const std::int64_t line = dev.props().tex_line_bytes;
+    std::vector<std::int64_t> want;
+    for (std::int64_t b = 0; b < kGrid; ++b) {
+      std::vector<std::int64_t> lines;
+      for (int l = 0; l < kWarpSize; ++l) {
+        const std::int64_t byte =
+            offsets.base_addr() +
+            (TexBlockKernel::first_offset(b) + l) *
+                static_cast<std::int64_t>(sizeof(std::int64_t));
+        const std::int64_t ln = byte / line * line;
+        if (std::find(lines.begin(), lines.end(), ln) == lines.end())
+          lines.push_back(ln);
+      }
+      want.insert(want.end(), lines.begin(), lines.end());
+    }
+
+    std::vector<std::int64_t> all;
+    LaunchCounters sum;
+    sum.block_threads = cfg.block_threads;
+    for (int w = 0; w < 2; ++w) {
+      LaunchConfig wc = cfg;
+      wc.block_offset = windows[w][0];
+      wc.grid_blocks = windows[w][1];
+      wc.tex_capture = &logs[ti][w];
+      const LaunchResult r = dev.launch(kernel, wc);
+      ctrs[ti][w] = r.counters;
+      EXPECT_EQ(r.counters.grid_blocks, windows[w][1]);
+      EXPECT_EQ(r.counters.tex_misses, 0) << "capture mode never probes";
+      sum += r.counters;
+      all.insert(all.end(), logs[ti][w].begin(), logs[ti][w].end());
+    }
+    EXPECT_EQ(all, want) << "threads " << dev.num_threads();
+    TextureCache replay(dev.props().tex_cache_lines, line);
+    for (const std::int64_t addr : all)
+      if (!replay.access(addr)) ++sum.tex_misses;
+    EXPECT_EQ(sum.to_json().dump(), full.counters.to_json().dump());
+  }
+  for (int w = 0; w < 2; ++w) {
+    EXPECT_EQ(logs[0][w], logs[1][w]);
+    EXPECT_EQ(ctrs[0][w].to_json().dump(), ctrs[1][w].to_json().dump());
   }
 }
 

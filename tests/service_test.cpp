@@ -350,6 +350,13 @@ TEST(Server, RetriesFaultsWithDeterministicBackoffOnManualClock) {
   // The ladder is disabled so injected launch faults surface to the
   // service retry loop (which replans and relaunches).
   cfg.plan.enable_fallback = false;
+  // Coalescing would make the launch count — and so which seed-5 fault
+  // draw hits which request — depend on how many requests are already
+  // queued at each dequeue: a first fused group of 2-6 members fails
+  // once, falls back to solo launches that all draw clean, and the rest
+  // fuse cleanly, leaving zero retries. One launch per request keeps
+  // the draw sequence fixed (coalesce_test covers coalesced retries).
+  cfg.coalesce.enabled = false;
   Server server(dev, cfg);
   sim::ScopedFaults faults("seed=5,launch.p=0.45");
   server.start();
