@@ -102,18 +102,18 @@ Measured run_point(const SweepPoint& p, int reps) {
       fused.counters.grid_blocks != sum.grid_blocks)
     m.identical = false;
 
-  // Timed sweeps: best-of-reps over the whole batch, loop vs fused.
+  // Timed sweeps: best-of-reps over the whole batch. Each round times
+  // the loop and then the fused launch, so a change in host speed during
+  // the sweep reaches both paths alike instead of deciding the ratio.
   m.loop_ms = 1e300;
   m.fused_ms = 1e300;
   for (int r = 0; r < reps; ++r) {
-    WallTimer t;
+    WallTimer loop;
     for (auto& [in, out] : batch) plan.execute<double>(in, out);
-    m.loop_ms = std::min(m.loop_ms, t.seconds() * 1e3);
-  }
-  for (int r = 0; r < reps; ++r) {
-    WallTimer t;
+    m.loop_ms = std::min(m.loop_ms, loop.seconds() * 1e3);
+    WallTimer fused;
     run_batched<double>(plan, batch);
-    m.fused_ms = std::min(m.fused_ms, t.seconds() * 1e3);
+    m.fused_ms = std::min(m.fused_ms, fused.seconds() * 1e3);
   }
   return m;
 }

@@ -152,14 +152,14 @@ bool in_bounds(const sim::LaneArray& lanes, std::int64_t size) {
 /// Any access the shadow cannot explain (out-of-range smem index, a
 /// store of untagged values, an unexpected buffer), or a divergence from
 /// `ref`, flips ok() to false; recording and forwarding stop there and
-/// the plan stays generic.
+/// the plan stays generic. Recording reserves `stores_hint` copy pairs.
 class RecordingCtx {
  public:
   RecordingCtx(std::int64_t block_id, int block_threads,
                const sim::DeviceProperties& props, std::int64_t smem_elems,
                std::int64_t blk_in_base, std::int64_t blk_out_base,
                std::vector<std::int64_t>& shadow, const ClassProgram* ref,
-               sim::BlockCtx& truth)
+               sim::BlockCtx& truth, std::size_t stores_hint)
       : block_id_(block_id),
         block_threads_(block_threads),
         props_(props),
@@ -170,6 +170,10 @@ class RecordingCtx {
         ref_(ref),
         truth_(truth) {
     shadow_.assign(static_cast<std::size_t>(smem_elems), -1);
+    if (ref_ == nullptr) {
+      prog_.copy_dst.reserve(stores_hint);
+      prog_.copy_src.reserve(stores_hint);
+    }
   }
 
   std::int64_t block_id() const { return block_id_; }
@@ -645,9 +649,14 @@ bool record_rep(const SpecBuildInput& bi, const sim::LaunchConfig& lc,
   // log, the cache itself is never probed.
   if (ref != nullptr) truth.tex_log.reserve(ref->tex_lines.size());
   sim::BlockCtx blk(bid, threads, sim::ExecMode::kCountOnly, *bi.props,
-                    truth.ctr, nullptr, smem, tex, &truth.tex_log, nullptr);
+                    truth.ctr, nullptr, smem, tex, &truth.tex_log);
+  // The copy tables hold one pair per stored element and are sized up
+  // front at the mean stores per block: grown by doubling instead, each
+  // step past glibc's 128 KB mmap threshold is an mmap plus a munmap.
+  const auto stores = static_cast<std::size_t>(
+      (bi.problem->volume() + lc.grid_blocks - 1) / lc.grid_blocks);
   RecordingCtx rc(bid, threads, *bi.props, smem, truth.entry.in_base,
-                  truth.entry.out_base, shadow, ref, blk);
+                  truth.entry.out_base, shadow, ref, blk, stores);
   run_generic_block<T>(bi, rc);
   truth.ctr.grid_blocks = 0;
   if (!rc.finish()) return false;

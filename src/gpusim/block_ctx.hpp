@@ -23,7 +23,6 @@
 #include "gpusim/dbuffer.hpp"
 #include "gpusim/device_properties.hpp"
 #include "gpusim/lane.hpp"
-#include "gpusim/pattern_cache.hpp"
 #include "gpusim/texture_cache.hpp"
 
 namespace ttlg::sim {
@@ -41,16 +40,10 @@ class BlockCtx {
   /// TextureCache. The launch engine replays the logs in block order
   /// after all blocks finish, so parallel chunked execution charges
   /// exactly the misses sequential execution would have.
-  ///
-  /// `pattern`, when non-null, memoizes the transaction / bank-conflict
-  /// / texture-line analysis on the warp's normalized lane pattern.
-  /// Cached answers equal recomputed ones, so every counter is
-  /// bit-identical with or without it (see pattern_cache.hpp).
   BlockCtx(std::int64_t block_id, int block_threads, ExecMode mode,
            const DeviceProperties& props, LaunchCounters& ctr,
            std::byte* smem, std::int64_t smem_elems, TextureCache& tex,
-           std::vector<std::int64_t>* tex_log = nullptr,
-           PatternCache* pattern = nullptr)
+           std::vector<std::int64_t>* tex_log = nullptr)
       : block_id_(block_id),
         block_threads_(block_threads),
         mode_(mode),
@@ -59,8 +52,7 @@ class BlockCtx {
         smem_(smem),
         smem_elems_(smem_elems),
         tex_(tex),
-        tex_log_(tex_log),
-        pattern_(pattern) {}
+        tex_log_(tex_log) {}
 
   std::int64_t block_id() const { return block_id_; }
   int block_dim() const { return block_threads_; }
@@ -111,11 +103,8 @@ class BlockCtx {
            LaneValues<T>& vals) {
     const int active = lanes.active_count();
     if (active == 0) return;
-    ctr_.gld_transactions +=
-        pattern_ ? pattern_->transactions(lanes, buf.base_addr(), sizeof(T),
-                                          props_.dram_transaction_bytes)
-                 : count_transactions(lanes, buf.base_addr(), sizeof(T),
-                                      props_.dram_transaction_bytes);
+    ctr_.gld_transactions += count_transactions(
+        lanes, buf.base_addr(), sizeof(T), props_.dram_transaction_bytes);
     ctr_.payload_bytes += static_cast<std::int64_t>(active) * sizeof(T);
     if (mode_ == ExecMode::kCountOnly) {
       vals.fill(T{});
@@ -138,11 +127,8 @@ class BlockCtx {
            const LaneValues<T>& vals) {
     const int active = lanes.active_count();
     if (active == 0) return;
-    ctr_.gst_transactions +=
-        pattern_ ? pattern_->transactions(lanes, buf.base_addr(), sizeof(T),
-                                          props_.dram_transaction_bytes)
-                 : count_transactions(lanes, buf.base_addr(), sizeof(T),
-                                      props_.dram_transaction_bytes);
+    ctr_.gst_transactions += count_transactions(
+        lanes, buf.base_addr(), sizeof(T), props_.dram_transaction_bytes);
     ctr_.payload_bytes += static_cast<std::int64_t>(active) * sizeof(T);
     if (mode_ == ExecMode::kCountOnly) return;
     TTLG_ASSERT(buf.valid(),
@@ -162,14 +148,10 @@ class BlockCtx {
            LaneValues<T>& vals) {
     if (!lanes.any_active()) return;
     // Distinct texture lines touched by this warp access, in first-touch
-    // order (collect_tex_lines; memoized on the lane pattern when the
-    // pattern cache is active).
+    // order.
     std::int64_t lines[kWarpSize];
-    const int nlines =
-        pattern_ ? pattern_->tex_lines(lanes, buf.base_addr(), sizeof(T),
-                                       tex_.line_bytes(), lines)
-                 : collect_tex_lines(lanes, buf.base_addr(), sizeof(T),
-                                     tex_.line_bytes(), lines);
+    const int nlines = collect_tex_lines(lanes, buf.base_addr(), sizeof(T),
+                                         tex_.line_bytes(), lines);
     ctr_.tex_transactions += nlines;
     if (tex_log_) {
       for (int s = 0; s < nlines; ++s)
@@ -199,8 +181,7 @@ class BlockCtx {
     if (!lanes.any_active()) return;
     ++ctr_.smem_load_ops;
     ctr_.smem_bank_conflicts +=
-        pattern_ ? pattern_->bank_conflicts(lanes, props_.shared_banks)
-                 : count_bank_conflicts(lanes, props_.shared_banks);
+        count_bank_conflicts(lanes, props_.shared_banks);
     if (mode_ == ExecMode::kCountOnly) {
       vals.fill(T{});
       return;
@@ -220,8 +201,7 @@ class BlockCtx {
     if (!lanes.any_active()) return;
     ++ctr_.smem_store_ops;
     ctr_.smem_bank_conflicts +=
-        pattern_ ? pattern_->bank_conflicts(lanes, props_.shared_banks)
-                 : count_bank_conflicts(lanes, props_.shared_banks);
+        count_bank_conflicts(lanes, props_.shared_banks);
     if (mode_ == ExecMode::kCountOnly) return;
     T* sm = reinterpret_cast<T*>(smem_);
     for (std::uint64_t m = lanes.active_mask(); m != 0; m &= m - 1) {
@@ -242,7 +222,6 @@ class BlockCtx {
   std::int64_t smem_elems_;
   TextureCache& tex_;
   std::vector<std::int64_t>* tex_log_ = nullptr;
-  PatternCache* pattern_ = nullptr;
 };
 
 }  // namespace ttlg::sim

@@ -1,5 +1,6 @@
 #include "gpusim/coalescing.hpp"
 
+#include <algorithm>
 #include <bit>
 
 namespace ttlg::sim {
@@ -13,11 +14,45 @@ namespace {
 /// the general fallback.
 inline bool pow2(std::int64_t v) { return (v & (v - 1)) == 0; }
 
-inline int shift_of(std::int64_t v) {
-  return std::countr_zero(static_cast<std::uint64_t>(v));
-}
+/// Byte address -> index of its `bytes`-sized segment (or line).
+struct SegmentOf {
+  explicit SegmentOf(std::int64_t bytes)
+      : bytes(bytes),
+        shift(pow2(bytes) ? std::countr_zero(static_cast<std::uint64_t>(bytes))
+                          : -1) {}
+  std::int64_t operator()(std::int64_t addr) const {
+    return shift >= 0 ? addr >> shift : addr / bytes;
+  }
+  std::int64_t bytes;
+  int shift;
+};
 
 constexpr std::uint64_t kFullMask = 0xffffffffULL;
+
+/// True when the active lanes are [0, n) holding a0, a0+1, ...: O(1)
+/// when the kernel built the array with fill_run, one compare pass for
+/// a fully-active set()-built warp.
+bool consecutive(const LaneArray& lanes, std::uint64_t mask) {
+  if (lanes.is_run()) return true;
+  if (mask != kFullMask) return false;
+  for (int l = 1; l < kWarpSize; ++l)
+    if (lanes[l] != lanes[0] + l) return false;
+  return true;
+}
+
+/// Distinct segments of the active lanes' byte addresses, written to
+/// `out` in first-touch order; returns how many.
+int first_touch_segments(const LaneArray& lanes, std::uint64_t mask,
+                         std::int64_t base_addr, std::int64_t elem_size,
+                         const SegmentOf& seg_of, std::int64_t* out) {
+  int n = 0;
+  for (std::uint64_t m = mask; m != 0; m &= m - 1) {
+    const std::int64_t seg =
+        seg_of(base_addr + lanes[std::countr_zero(m)] * elem_size);
+    if (std::find(out, out + n, seg) == out + n) out[n++] = seg;
+  }
+  return n;
+}
 
 }  // namespace
 
@@ -26,32 +61,13 @@ int count_transactions(const LaneArray& lanes, std::int64_t base_addr,
   const std::uint64_t mask = lanes.active_mask();
   if (mask == 0) return 0;
   // Fast path: consecutive elements (the dominant pattern in
-  // well-coalesced kernels). O(1) when the kernel built the array with
-  // fill_run; a fully-active set()-built warp still gets one compare
-  // pass. a0 reads the first ACTIVE lane — unset lanes hold garbage.
+  // well-coalesced kernels). a0 reads the first ACTIVE lane — unset
+  // lanes hold garbage.
   const std::int64_t a0 = lanes[std::countr_zero(mask)];
-  bool consecutive = lanes.is_run();
-  if (!consecutive && mask == kFullMask) {
-    consecutive = true;
-    for (int l = 1; l < kWarpSize; ++l) {
-      if (lanes[l] != a0 + l) {
-        consecutive = false;
-        break;
-      }
-    }
-  }
-  if (consecutive) {
-    const int n = std::popcount(mask);
-    const std::int64_t b0 = base_addr + a0 * elem_size;
-    const std::int64_t b1 = base_addr + (a0 + n - 1) * elem_size + elem_size - 1;
-    if (pow2(txn_bytes)) {
-      const int sh = shift_of(txn_bytes);
-      return static_cast<int>((b1 >> sh) - (b0 >> sh) + 1);
-    }
-    return static_cast<int>(b1 / txn_bytes - b0 / txn_bytes + 1);
-  }
-  const bool p2 = pow2(txn_bytes);
-  const int sh = p2 ? shift_of(txn_bytes) : 0;
+  if (consecutive(lanes, mask))
+    return static_cast<int>(count_run_transactions(
+        base_addr + a0 * elem_size, std::popcount(mask), elem_size, txn_bytes));
+  const SegmentOf seg_of(txn_bytes);
   // Lanes in nondecreasing address order (gathers and scatters through
   // monotone offset tables): a segment repeats only back to back, so one
   // pass counts the distinct ones.
@@ -60,8 +76,8 @@ int count_transactions(const LaneArray& lanes, std::int64_t base_addr,
     int count = 0;
     bool sorted = true;
     for (std::uint64_t m = mask; m != 0; m &= m - 1) {
-      const std::int64_t addr = base_addr + lanes[std::countr_zero(m)] * elem_size;
-      const std::int64_t seg = p2 ? addr >> sh : addr / txn_bytes;
+      const std::int64_t seg =
+          seg_of(base_addr + lanes[std::countr_zero(m)] * elem_size);
       if (count > 0 && seg < prev) {
         sorted = false;
         break;
@@ -72,21 +88,7 @@ int count_transactions(const LaneArray& lanes, std::int64_t base_addr,
     if (sorted) return count;
   }
   std::int64_t segs[kWarpSize];
-  int nsegs = 0;
-  for (std::uint64_t m = mask; m != 0; m &= m - 1) {
-    const int l = std::countr_zero(m);
-    const std::int64_t addr = base_addr + lanes[l] * elem_size;
-    const std::int64_t seg = p2 ? addr >> sh : addr / txn_bytes;
-    bool seen = false;
-    for (int s = 0; s < nsegs; ++s) {
-      if (segs[s] == seg) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) segs[nsegs++] = seg;
-  }
-  return nsegs;
+  return first_touch_segments(lanes, mask, base_addr, elem_size, seg_of, segs);
 }
 
 int count_bank_conflicts(const LaneArray& lanes, int banks) {
@@ -138,74 +140,37 @@ int collect_tex_lines(const LaneArray& lanes, std::int64_t base_addr,
                       std::int64_t* lines_out) {
   const std::uint64_t mask = lanes.active_mask();
   if (mask == 0) return 0;
-  int nlines = 0;
-  // Fast path: consecutive lanes touch a dense line range (O(1) for
-  // fill_run-built arrays, one compare pass for full set()-built warps).
-  bool consecutive = lanes.is_run();
-  if (!consecutive && mask == kFullMask) {
-    consecutive = true;
-    for (int l = 1; l < kWarpSize; ++l) {
-      if (lanes[l] != lanes[0] + l) {
-        consecutive = false;
-        break;
-      }
-    }
-  }
-  if (consecutive) {
-    const std::int64_t a0 = lanes[std::countr_zero(mask)];
-    const int n = std::popcount(mask);
-    const std::int64_t es = elem_size;
-    const std::int64_t b0 = base_addr + a0 * es;
-    const std::int64_t b1 = base_addr + (a0 + n - 1) * es + es - 1;
-    const bool p2 = pow2(line_bytes);
-    const int sh = p2 ? shift_of(line_bytes) : 0;
-    const std::int64_t first = p2 ? b0 >> sh : b0 / line_bytes;
-    const std::int64_t last = p2 ? b1 >> sh : b1 / line_bytes;
-    for (std::int64_t line = first; line <= last; ++line)
+  const SegmentOf line_of(line_bytes);
+  // Fast path: consecutive lanes touch a dense line range.
+  if (consecutive(lanes, mask)) {
+    const std::int64_t b0 =
+        base_addr + lanes[std::countr_zero(mask)] * elem_size;
+    const std::int64_t last =
+        line_of(b0 + std::popcount(mask) * elem_size - 1);
+    int nlines = 0;
+    for (std::int64_t line = line_of(b0); line <= last; ++line)
       lines_out[nlines++] = line;
     return nlines;
   }
-  const bool p2 = pow2(line_bytes);
-  const int sh = p2 ? shift_of(line_bytes) : 0;
-  for (std::uint64_t m = mask; m != 0; m &= m - 1) {
-    const int l = std::countr_zero(m);
-    const std::int64_t addr =
-        base_addr + lanes[l] * static_cast<std::int64_t>(elem_size);
-    const std::int64_t line = p2 ? addr >> sh : addr / line_bytes;
-    bool seen = false;
-    for (int s = 0; s < nlines; ++s) {
-      if (lines_out[s] == line) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) lines_out[nlines++] = line;
-  }
-  return nlines;
+  return first_touch_segments(lanes, mask, base_addr, elem_size, line_of,
+                              lines_out);
 }
 
 std::int64_t count_run_transactions(std::int64_t byte0, std::int64_t n,
                                     int elem_size, std::int64_t txn_bytes) {
-  const std::int64_t b1 = byte0 + n * elem_size - 1;
-  if (pow2(txn_bytes)) {
-    const int sh = shift_of(txn_bytes);
-    return (b1 >> sh) - (byte0 >> sh) + 1;
-  }
-  return b1 / txn_bytes - byte0 / txn_bytes + 1;
+  const SegmentOf seg_of(txn_bytes);
+  return seg_of(byte0 + n * elem_size - 1) - seg_of(byte0) + 1;
 }
 
 std::int64_t count_sorted_offset_transactions(std::int64_t base_addr,
                                               const std::int64_t* deltas,
                                               std::int64_t n,
                                               std::int64_t txn_bytes) {
-  const bool p2 = pow2(txn_bytes);
-  const int sh = p2 ? shift_of(txn_bytes) : 0;
-  std::int64_t addr = base_addr + deltas[0];
-  std::int64_t prev = p2 ? addr >> sh : addr / txn_bytes;
+  const SegmentOf seg_of(txn_bytes);
+  std::int64_t prev = seg_of(base_addr + deltas[0]);
   std::int64_t count = 1;
   for (std::int64_t i = 1; i < n; ++i) {
-    addr = base_addr + deltas[i];
-    const std::int64_t seg = p2 ? addr >> sh : addr / txn_bytes;
+    const std::int64_t seg = seg_of(base_addr + deltas[i]);
     if (seg != prev) {
       ++count;
       prev = seg;

@@ -1,8 +1,5 @@
 #include "gpusim/device.hpp"
 
-#include <cstdlib>
-#include <string_view>
-
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
@@ -28,14 +25,6 @@ Device::Device(DeviceProperties props) : props_(std::move(props)) {
   // above the per-SM capacity) would silently corrupt every timing and
   // occupancy computation downstream — reject it at construction.
   props_.validate();
-}
-
-bool Device::default_pattern_cache() {
-  static const bool on = [] {
-    const char* env = std::getenv("TTLG_PATTERN_CACHE");
-    return env == nullptr || std::string_view(env) != "0";
-  }();
-  return on;
 }
 
 std::byte* Device::allocate_bytes(std::int64_t bytes) {

@@ -94,13 +94,11 @@ class Device {
   void set_num_threads(int n) { num_threads_ = n; }
   int num_threads() const { return num_threads_; }
 
-  /// Memoized access-pattern analysis (transactions, bank conflicts,
-  /// texture-line dedup keyed on the warp's normalized lane pattern —
-  /// pattern_cache.hpp). On by default; TTLG_PATTERN_CACHE=0 flips the
-  /// process-wide default. Counters, outputs and simulated times are
-  /// bit-identical either way.
-  void set_pattern_cache(bool on) { pattern_cache_ = on; }
-  bool pattern_cache() const { return pattern_cache_; }
+  /// Always false: the simulator has no access-pattern memoization.
+  /// perfbench/src/main.cpp:57 records it in the benchmark's config, and
+  /// perfbench/ changes only together with the benchmark, so this stays
+  /// until that file next changes.
+  bool pattern_cache() const { return false; }
 
   /// Allocate `n` elements of T in simulated device memory.
   template <class T>
@@ -221,7 +219,6 @@ class Device {
                nthreads > 1) {
       run_parallel_segments(make_kernel, cfg, results, tex, nthreads);
     } else {
-      const PatternCachePool::Lease pc = pattern_pool_.acquire(pattern_cache_);
       for (std::int64_t m = 0; m < num_members; ++m) {
         LaunchResult& r = results[static_cast<std::size_t>(m)];
         tex.reset();
@@ -229,8 +226,7 @@ class Device {
         for (std::int64_t b = cfg.block_offset;
              b < cfg.block_offset + cfg.grid_blocks; ++b) {
           BlockCtx blk(b, cfg.block_threads, mode_, props_, r.counters,
-                       smem.data(), cfg.shared_elems, tex, cfg.tex_capture,
-                       pc.get());
+                       smem.data(), cfg.shared_elems, tex, cfg.tex_capture);
           kernel(blk);
         }
       }
@@ -300,11 +296,6 @@ class Device {
           const std::int64_t hi = total * (c + 1) / nchunks;
           std::vector<std::byte> smem(
               static_cast<std::size_t>(cfg.shared_elems * cfg.elem_size));
-          // One pattern-cache lease per chunk: no sharing between host
-          // threads, and cached == recomputed keeps totals bit-identical
-          // regardless of which chunk warmed which cache.
-          const PatternCachePool::Lease pc =
-              pattern_pool_.acquire(pattern_cache_);
           std::vector<Segment>& segs = chunks[static_cast<std::size_t>(c)];
           std::int64_t b = lo;
           while (b < hi) {
@@ -318,7 +309,7 @@ class Device {
             for (; b < seg_hi; ++b) {
               BlockCtx blk(cfg.block_offset + b - base, cfg.block_threads,
                            mode_, props_, sg.ctr, smem.data(),
-                           cfg.shared_elems, tex, &sg.tex_log, pc.get());
+                           cfg.shared_elems, tex, &sg.tex_log);
               kernel(blk);
             }
           }
@@ -355,8 +346,6 @@ class Device {
   void run_sampled(const Kernel& kernel, const LaunchConfig& cfg,
                    LaunchResult& res, std::vector<std::byte>& smem,
                    TextureCache& tex) {
-    const PatternCachePool::Lease pc = pattern_pool_.acquire(pattern_cache_);
-    PatternCache* pcp = pc.get();
     const ChunkClasses& classes = *cfg.classes;
     for (int c = 0; c < ChunkClasses::kCount; ++c) {
       const std::int64_t before = classes.count_below(c, cfg.block_offset);
@@ -372,11 +361,11 @@ class Device {
           // steady state, not the launch's cold start.
           LaunchCounters discard;
           BlockCtx warm(b, cfg.block_threads, mode_, props_, discard,
-                        smem.data(), cfg.shared_elems, tex, nullptr, pcp);
+                        smem.data(), cfg.shared_elems, tex);
           kernel(warm);
         }
         BlockCtx blk(b, cfg.block_threads, mode_, props_, cls, smem.data(),
-                     cfg.shared_elems, tex, nullptr, pcp);
+                     cfg.shared_elems, tex);
         kernel(blk);
       }
       const double scale =
@@ -431,16 +420,10 @@ class Device {
   /// knob: the pool fan-out costs more than the blocks themselves.
   static constexpr std::int64_t kMinParallelBlocks = 4;
 
-  /// Process-wide default for the pattern-cache knob: true unless
-  /// TTLG_PATTERN_CACHE=0 (defined in device.cpp).
-  static bool default_pattern_cache();
-
   DeviceProperties props_;
   ExecMode mode_ = ExecMode::kFunctional;
   int sampling_ = 0;
   int num_threads_ = 0;  ///< 0 = auto (TTLG_THREADS / hardware)
-  bool pattern_cache_ = default_pattern_cache();
-  PatternCachePool pattern_pool_;
   struct Allocation {
     std::unique_ptr<std::byte[]> storage;
     std::int64_t bytes = 0;

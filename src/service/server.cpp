@@ -352,13 +352,17 @@ void Server::process_batch(std::vector<Request> reqs) {
     // all-or-nothing (no member output was published), so every member
     // re-runs individually through process() — each terminates with
     // its own classified status and a failing member fails only its
-    // request. The fused failure itself is a robustness-class event.
+    // request. A retryable fused failure was every member's first
+    // attempt, so each re-run is that member's counted retry; any other
+    // failure re-runs each member in isolation from attempt 1. The
+    // fused failure itself is a robustness-class event.
     free_pairs();
     telemetry::MetricsRegistry::global()
         .counter("service.coalesce.fallback")
         .inc();
     note_status_failure("service.process_batch", st);
-    for (Request& r : live) process(std::move(r));
+    const Status* first_attempt = can_retry(st, 1) ? &st : nullptr;
+    for (Request& r : live) process(std::move(r), first_attempt);
     return;
   }
 
@@ -423,7 +427,69 @@ std::shared_ptr<const Plan> Server::resolve_plan(const Request& req,
   return cache_.get_shared(dev_, req.shape, req.perm, opts, was_hit, builder);
 }
 
-void Server::process(Request req) {
+bool Server::can_retry(const Status& st, int attempt) const {
+  return attempt < 1 + std::max(cfg_.backoff.max_retries, 0) &&
+         retryable(st.code()) && st.code() != ErrorCode::kUnsupported;
+}
+
+Status Server::attempt_once(const Request& req, std::int64_t headroom_us,
+                            Response& res) {
+  try {
+    const std::int64_t volume = req.shape.volume();
+    TTLG_CHECK(req.input && static_cast<std::int64_t>(req.input->size()) ==
+                                volume,
+               "request input must hold shape.volume() elements");
+    if (cfg_.fleet != nullptr && volume >= cfg_.shard_min_volume) {
+      // Scale-out route: the request is big enough to amortize the
+      // cross-device transfers, so it fans out over the fleet
+      // (sharded failover included) instead of the serving device.
+      std::vector<double> out(req.input->size(), 0.0);
+      shard::ShardOptions sopts;
+      sopts.plan = cfg_.plan;
+      shard::ShardedExecutor ex(*cfg_.fleet, sopts);
+      auto run = ex.run<double>(
+          req.shape, req.perm,
+          std::span<const double>(req.input->data(), req.input->size()),
+          std::span<double>(out.data(), out.size()), req.alpha, req.beta);
+      if (run.has_value()) {
+        res.output = std::move(out);
+        res.sharded = true;
+        res.sim_time_s = run->makespan_s;
+        bump("service.sharded");
+        observe("service.exec_us", run->makespan_s * 1e6);
+      }
+      return run.status();
+    }
+    bool hit = false;
+    std::shared_ptr<const Plan> plan = resolve_plan(req, headroom_us, &hit);
+    res.plan_cache_hit = hit;
+    auto in = dev_.alloc_copy<double>(
+        std::span<const double>(req.input->data(), req.input->size()));
+    sim::DeviceBuffer<double> out;
+    try {
+      out = dev_.alloc<double>(volume);
+    } catch (...) {
+      dev_.try_free(in);
+      throw;
+    }
+    auto exec = plan->try_execute<double>(in, out, req.alpha, req.beta);
+    if (exec.has_value()) {
+      res.output.assign(out.data(), out.data() + out.size());
+      res.exec_path = plan->last_exec_path();
+      res.sim_time_s = exec->time_s;
+      observe("service.exec_us", exec->time_s * 1e6);
+    }
+    dev_.try_free(in);
+    dev_.try_free(out);
+    return exec.status();
+  } catch (const Error& e) {
+    // Classified failures outside try_execute (plan build, buffer
+    // allocation) join the same retry/classify path.
+    return Status::from(e);
+  }
+}
+
+void Server::process(Request req, const Status* first_attempt) {
   std::int64_t submit_us = 0;
   {
     std::lock_guard<std::mutex> lk(pending_mu_);
@@ -480,65 +546,11 @@ void Server::process(Request req) {
   // Bounded retry: a fresh plan resolution + execution per attempt
   // (the failure may have been the plan build itself), with
   // deterministic backoff between retryable failures.
-  const int max_attempts = 1 + std::max(cfg_.backoff.max_retries, 0);
   for (int attempt = 1;; ++attempt) {
     res.attempts = attempt;
-    Status st;
-    try {
-      const std::int64_t volume = req.shape.volume();
-      TTLG_CHECK(req.input && static_cast<std::int64_t>(req.input->size()) ==
-                                  volume,
-                 "request input must hold shape.volume() elements");
-      if (cfg_.fleet != nullptr && volume >= cfg_.shard_min_volume) {
-        // Scale-out route: the request is big enough to amortize the
-        // cross-device transfers, so it fans out over the fleet
-        // (sharded failover included) instead of the serving device.
-        std::vector<double> out(req.input->size(), 0.0);
-        shard::ShardOptions sopts;
-        sopts.plan = cfg_.plan;
-        shard::ShardedExecutor ex(*cfg_.fleet, sopts);
-        auto run = ex.run<double>(
-            req.shape, req.perm,
-            std::span<const double>(req.input->data(), req.input->size()),
-            std::span<double>(out.data(), out.size()), req.alpha, req.beta);
-        if (run.has_value()) {
-          res.output = std::move(out);
-          res.sharded = true;
-          res.sim_time_s = run->makespan_s;
-          bump("service.sharded");
-          observe("service.exec_us", run->makespan_s * 1e6);
-        }
-        st = run.status();
-      } else {
-        bool hit = false;
-        std::shared_ptr<const Plan> plan =
-            resolve_plan(req, headroom_us, &hit);
-        res.plan_cache_hit = hit;
-        auto in = dev_.alloc_copy<double>(
-            std::span<const double>(req.input->data(), req.input->size()));
-        sim::DeviceBuffer<double> out;
-        try {
-          out = dev_.alloc<double>(volume);
-        } catch (...) {
-          dev_.try_free(in);
-          throw;
-        }
-        auto exec = plan->try_execute<double>(in, out, req.alpha, req.beta);
-        if (exec.has_value()) {
-          res.output.assign(out.data(), out.data() + out.size());
-          res.exec_path = plan->last_exec_path();
-          res.sim_time_s = exec->time_s;
-          observe("service.exec_us", exec->time_s * 1e6);
-        }
-        dev_.try_free(in);
-        dev_.try_free(out);
-        st = exec.status();
-      }
-    } catch (const Error& e) {
-      // Classified failures outside try_execute (plan build, buffer
-      // allocation) join the same retry/classify path.
-      st = Status::from(e);
-    }
+    const Status st = attempt == 1 && first_attempt != nullptr
+                          ? *first_attempt
+                          : attempt_once(req, headroom_us, res);
     if (st.is_ok()) {
       n_.served.fetch_add(1, std::memory_order_relaxed);
       bump("service.served");
@@ -546,9 +558,7 @@ void Server::process(Request req) {
       res.status = Status::ok();
       break;
     }
-    const bool can_retry = attempt < max_attempts && retryable(st.code()) &&
-                           st.code() != ErrorCode::kUnsupported;
-    if (!can_retry) {
+    if (!can_retry(st, attempt)) {
       classify(st);
       break;
     }

@@ -150,7 +150,17 @@ class Server {
   };
 
   void worker_loop();
-  void process(Request req);
+  /// Serve one request with bounded, backed-off retries. A non-null
+  /// `first_attempt` is the failure of an attempt already made for it
+  /// (a retryable fused launch): it counts as attempt 1, and the loop
+  /// continues from its retry.
+  void process(Request req, const Status* first_attempt = nullptr);
+  /// One plan-and-execute attempt (fleet route for large requests);
+  /// fills `res` on success.
+  Status attempt_once(const Request& req, std::int64_t headroom_us,
+                      Response& res);
+  /// True when a failure with `st` at `attempt` earns another attempt.
+  bool can_retry(const Status& st, int attempt) const;
   /// Coalescing stage of the drain loop: gather compatible queued
   /// requests behind `leader` (bounded window, deadline-ordered) and
   /// route the group through process_batch, or fall through to

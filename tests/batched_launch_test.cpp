@@ -3,8 +3,8 @@
 // one super-grid dispatch must be BIT-IDENTICAL to N individual
 // execute() calls — per-member outputs, every per-member
 // LaunchCounters field, and the per-member simulated times — across
-// all kernel schemas, element widths, thread counts and pattern-cache
-// settings; aggregate counters must be exactly additive. Directed
+// all kernel schemas, element widths and thread counts; aggregate
+// counters must be exactly additive. Directed
 // tests pin the fallback ladder: a retryable fused failure re-runs the
 // per-member loop, and a mid-loop member failure's classified Status
 // names the failing member index and the completed count.
@@ -87,19 +87,16 @@ constexpr int kMembers = 3;
 /// members (fresh output buffers) through the fused engine, and demand
 /// bit-identity everywhere.
 template <class T>
-void run_battery(const Case& c, bool specialize, int nthreads,
-                 bool pattern_cache) {
+void run_battery(const Case& c, bool specialize, int nthreads) {
   const Shape shape(c.ext);
   const Permutation perm(c.perm);
   const std::string what =
       shape.to_string() + perm.to_string() + " w" +
       std::to_string(sizeof(T)) + " t" + std::to_string(nthreads) +
-      (pattern_cache ? " pc" : " nopc") +
       (specialize ? " spec" : " gen");
 
   sim::Device dev;
   dev.set_num_threads(nthreads);
-  dev.set_pattern_cache(pattern_cache);
 
   PlanOptions opts;
   opts.elem_size = static_cast<int>(sizeof(T));
@@ -172,13 +169,12 @@ class BatchedDifferential : public ::testing::TestWithParam<int> {};
 TEST_P(BatchedDifferential, FusedMatchesSinglesBitForBit) {
   const Case& c = schema_cases()[static_cast<std::size_t>(GetParam())];
   for (const bool specialize : {false, true})
-    for (const int nthreads : {1, 3, 8})
-      for (const bool pc : {false, true}) {
-        run_battery<std::uint8_t>(c, specialize, nthreads, pc);
-        run_battery<std::uint16_t>(c, specialize, nthreads, pc);
-        run_battery<float>(c, specialize, nthreads, pc);
-        run_battery<double>(c, specialize, nthreads, pc);
-      }
+    for (const int nthreads : {1, 3, 8}) {
+      run_battery<std::uint8_t>(c, specialize, nthreads);
+      run_battery<std::uint16_t>(c, specialize, nthreads);
+      run_battery<float>(c, specialize, nthreads);
+      run_battery<double>(c, specialize, nthreads);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemas, BatchedDifferential,

@@ -26,10 +26,9 @@ struct RunArtifacts {
 };
 
 RunArtifacts run_once(const Shape& shape, const Permutation& perm,
-                      int nthreads, bool pattern_cache = true) {
+                      int nthreads) {
   sim::Device dev;
   dev.set_num_threads(nthreads);
-  dev.set_pattern_cache(pattern_cache);
   Tensor<double> host(shape);
   host.fill_random(20260805);
   auto in = dev.alloc_copy<double>(host.vec());
@@ -131,28 +130,6 @@ TEST(Determinism, AutoThreadCountMatchesSerial) {
     const Permutation perm(c.perm);
     expect_identical(run_once(shape, perm, 1), run_once(shape, perm, 0),
                      to_string(c.expected).c_str());
-  }
-}
-
-TEST(Determinism, PatternCacheInvisibleInEveryArtifact) {
-  // The access-pattern memoization is a pure performance cache: every
-  // counter, the output bits and both time channels must be
-  // bit-identical with the cache on and off — serial and parallel (the
-  // parallel engine leases per-launch caches from a pool, so this also
-  // covers warm pooled caches across launches).
-  for (const auto& c : schema_cases()) {
-    const Shape shape(c.ext);
-    const Permutation perm(c.perm);
-    const RunArtifacts off = run_once(shape, perm, 1, /*pattern_cache=*/false);
-    ASSERT_EQ(off.schema, c.expected) << shape.to_string() << perm.to_string();
-    for (int nthreads : {1, 4}) {
-      const RunArtifacts on = run_once(shape, perm, nthreads,
-                                       /*pattern_cache=*/true);
-      expect_identical(off, on,
-                       (to_string(c.expected) + " cache on @" +
-                        std::to_string(nthreads) + " threads vs off")
-                           .c_str());
-    }
   }
 }
 

@@ -5,6 +5,7 @@
 // every rejection and refill is exactly reproducible).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <future>
 #include <memory>
@@ -383,6 +384,48 @@ TEST(Server, RetriesFaultsWithDeterministicBackoffOnManualClock) {
   // at least one request must have gone around the loop (and the
   // ManualClock means the backoff consumed simulated, not wall, time).
   EXPECT_GT(counts.retries, 0);
+}
+
+TEST(Server, FailedFusedLaunchIsEveryMembersFirstAttempt) {
+  // All 8 requests are queued before start(), so the first dequeue fuses
+  // them into one launch. The seed-5 launch draws read
+  // 1,0,0,0,0,0,0,0,1,1,0,...: the fused launch fails (retryable), seven
+  // members are served by their first solo retry and the last one by its
+  // third. The fused attempt counts for every member, exactly like a
+  // failed solo attempt: 8 + 2 retries, and attempts 2 (x7) and 4.
+  Fixture fx;
+  sim::Device dev;
+  ManualClock clock(0);
+  ServerConfig cfg;
+  cfg.clock = &clock;
+  cfg.workers = 1;
+  cfg.backoff.max_retries = 3;
+  // The ladder is disabled so the injected fault fails the fused launch
+  // instead of being retried inside the plan.
+  cfg.plan.enable_fallback = false;
+  Server server(dev, cfg);
+  std::vector<std::future<Response>> futures;
+  for (int i = 0; i < 8; ++i) futures.push_back(server.submit(fx.request()));
+  sim::ScopedFaults faults("seed=5,launch.p=0.45");
+  server.start();
+  server.stop();
+  std::vector<int> attempts;
+  std::int64_t retried = 0;
+  for (auto& f : futures) {
+    const Response res = f.get();
+    ASSERT_TRUE(res.served()) << res.status.to_string();
+    EXPECT_EQ(res.output, fx.expected);
+    EXPECT_FALSE(res.coalesced);
+    attempts.push_back(res.attempts);
+    retried += res.attempts - 1;
+  }
+  std::sort(attempts.begin(), attempts.end());
+  EXPECT_EQ(attempts, (std::vector<int>{2, 2, 2, 2, 2, 2, 2, 4}));
+  const auto counts = server.counts();
+  EXPECT_EQ(counts.coalesced_launches, 0);
+  EXPECT_EQ(counts.retries, 10);
+  EXPECT_EQ(counts.retries, retried);
+  EXPECT_EQ(counts.terminal(), counts.submitted);
 }
 
 TEST(Server, LoadgenRunsCleanWithoutFaults) {

@@ -1,11 +1,11 @@
 // Plan-time kernel specialization (core/stride_program.hpp): the
 // compiled stride-program / templated / affine-bulk tiers must be
 // BIT-IDENTICAL to the generic kernels — outputs, every LaunchCounters
-// field, and the simulated time — at every element width, thread count
-// and pattern-cache setting, including awkward prime and size-1
-// extents. A separate set of directed tests pins that the tiers
-// actually ENGAGE (a builder that rejected everything would pass the
-// differential battery trivially on the generic path), that the tier
+// field, and the simulated time — at every element width and thread
+// count, including awkward prime and size-1 extents. A separate set of
+// directed tests pins that the tiers actually ENGAGE (a builder that
+// rejected everything would pass the differential battery trivially on
+// the generic path), that the tier
 // survives a plan-file round trip, and that a corrupted tier record is
 // classified kDataLoss.
 #include <gtest/gtest.h>
@@ -55,10 +55,9 @@ struct Artifacts {
 
 template <class T>
 Artifacts run_once(const Shape& shape, const Permutation& perm,
-                   bool specialize, int nthreads, bool pattern_cache) {
+                   bool specialize, int nthreads) {
   sim::Device dev;
   dev.set_num_threads(nthreads);
-  dev.set_pattern_cache(pattern_cache);
   Tensor<T> host(shape);
   Rng rng(911);
   fill_random_elems(rng, host.vec());
@@ -153,44 +152,35 @@ const std::vector<Case>& awkward_cases() {
 }
 
 template <class T>
-void run_battery(const Case& c, int nthreads, bool pattern_cache,
-                 SpecTier* engaged) {
+void run_battery(const Case& c, int nthreads, SpecTier* engaged) {
   const Shape shape(c.ext);
   const Permutation perm(c.perm);
-  const std::string what =
-      shape.to_string() + perm.to_string() + " w" +
-      std::to_string(sizeof(T)) + " t" + std::to_string(nthreads) +
-      (pattern_cache ? " pc" : " nopc");
-  const Artifacts gen = run_once<T>(shape, perm, false, nthreads,
-                                    pattern_cache);
-  const Artifacts spec = run_once<T>(shape, perm, true, nthreads,
-                                     pattern_cache);
+  const std::string what = shape.to_string() + perm.to_string() + " w" +
+                           std::to_string(sizeof(T)) + " t" +
+                           std::to_string(nthreads);
+  const Artifacts gen = run_once<T>(shape, perm, false, nthreads);
+  const Artifacts spec = run_once<T>(shape, perm, true, nthreads);
   EXPECT_EQ(gen.tier, SpecTier::kGeneric) << what;
   expect_identical(spec, gen, what);
   if (engaged && spec.tier > *engaged) *engaged = spec.tier;
 }
 
 void run_battery_sized(const Case& c, int elem_size, int nthreads,
-                       bool pattern_cache, SpecTier* engaged) {
+                       SpecTier* engaged) {
   switch (elem_size) {
-    case 1:
-      return run_battery<std::uint8_t>(c, nthreads, pattern_cache, engaged);
-    case 2:
-      return run_battery<std::uint16_t>(c, nthreads, pattern_cache, engaged);
-    case 4:
-      return run_battery<float>(c, nthreads, pattern_cache, engaged);
-    default:
-      return run_battery<double>(c, nthreads, pattern_cache, engaged);
+    case 1: return run_battery<std::uint8_t>(c, nthreads, engaged);
+    case 2: return run_battery<std::uint16_t>(c, nthreads, engaged);
+    case 4: return run_battery<float>(c, nthreads, engaged);
+    default: return run_battery<double>(c, nthreads, engaged);
   }
 }
 
-TEST(Specialization, BitIdenticalAcrossSchemasWidthsThreadsAndCache) {
+TEST(Specialization, BitIdenticalAcrossSchemasWidthsAndThreads) {
   for (const Case& c : schema_cases()) {
     SpecTier engaged = SpecTier::kGeneric;
     for (int elem_size : {1, 2, 4, 8})
       for (int nthreads : {1, 4})
-        for (bool pc : {true, false})
-          run_battery_sized(c, elem_size, nthreads, pc, &engaged);
+        run_battery_sized(c, elem_size, nthreads, &engaged);
     // The differential is only meaningful if the specialized path
     // actually ran: every directed schema case must compile to a
     // non-generic tier.
@@ -203,7 +193,7 @@ TEST(Specialization, BitIdenticalOnPrimeAndUnitExtents) {
   for (const Case& c : awkward_cases())
     for (int elem_size : {1, 8})
       for (int nthreads : {1, 4})
-        run_battery_sized(c, elem_size, nthreads, true, nullptr);
+        run_battery_sized(c, elem_size, nthreads, nullptr);
 }
 
 TEST(Specialization, AffineTierEngagesAndIsCounted) {
@@ -320,7 +310,7 @@ std::vector<Artifacts> texture_mode_runs(const Case& c, bool specialize,
   const Shape shape(c.ext);
   const Permutation perm(c.perm);
   std::vector<Artifacts> runs;
-  runs.push_back(run_once<double>(shape, perm, specialize, nthreads, true));
+  runs.push_back(run_once<double>(shape, perm, specialize, nthreads));
 
   sim::Device dev;
   dev.set_num_threads(nthreads);
