@@ -14,7 +14,12 @@
 // (default results/baselines/BENCH_batched_launch.json), which the CI
 // speedup gate feeds to perfdiff --min-geomean-speedup.
 //
-// Flags: --csv  --reps N  --baseline-out PATH
+// Each sweep point reports, for both paths, the median over --trials
+// trials of the best-of---reps wall time; loop and fused reps alternate
+// within a trial.
+//
+// Flags: --csv  --reps N  --trials N  --baseline-out PATH
+#include <algorithm>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -40,8 +45,8 @@ struct SweepPoint {
 };
 
 struct Measured {
-  double loop_ms = 0;   ///< best-of-reps wall time for the whole batch
-  double fused_ms = 0;
+  double loop_ms = 0;   ///< median over trials of the best-of-reps wall
+  double fused_ms = 0;  ///< time for the whole batch
   bool identical = true;
 };
 
@@ -59,7 +64,13 @@ bool counters_equal(const sim::LaunchCounters& a,
          a.barriers == b.barriers && a.payload_bytes == b.payload_bytes;
 }
 
-Measured run_point(const SweepPoint& p, int reps) {
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+Measured run_point(const SweepPoint& p, int reps, int trials) {
   const Shape shape(p.ext);
   const Permutation perm(p.perm);
   sim::Device dev;
@@ -102,19 +113,26 @@ Measured run_point(const SweepPoint& p, int reps) {
       fused.counters.grid_blocks != sum.grid_blocks)
     m.identical = false;
 
-  // Timed sweeps: best-of-reps over the whole batch. Each round times
-  // the loop and then the fused launch, so a change in host speed during
-  // the sweep reaches both paths alike instead of deciding the ratio.
-  m.loop_ms = 1e300;
-  m.fused_ms = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    WallTimer loop;
-    for (auto& [in, out] : batch) plan.execute<double>(in, out);
-    m.loop_ms = std::min(m.loop_ms, loop.seconds() * 1e3);
-    WallTimer fused;
-    run_batched<double>(plan, batch);
-    m.fused_ms = std::min(m.fused_ms, fused.seconds() * 1e3);
+  // Timed sweeps: best-of-reps over the whole batch, per trial. Each
+  // round times the loop and then the fused launch, so a change in host
+  // speed during the sweep reaches both paths alike instead of deciding
+  // the ratio; the median over trials damps a noisy trial.
+  std::vector<double> loop_trials, fused_trials;
+  for (int trial = 0; trial < trials; ++trial) {
+    double loop_ms = 1e300, fused_ms = 1e300;
+    for (int r = 0; r < reps; ++r) {
+      WallTimer loop_timer;
+      for (auto& [in, out] : batch) plan.execute<double>(in, out);
+      loop_ms = std::min(loop_ms, loop_timer.seconds() * 1e3);
+      WallTimer fused_timer;
+      run_batched<double>(plan, batch);
+      fused_ms = std::min(fused_ms, fused_timer.seconds() * 1e3);
+    }
+    loop_trials.push_back(loop_ms);
+    fused_trials.push_back(fused_ms);
   }
+  m.loop_ms = median(loop_trials);
+  m.fused_ms = median(fused_trials);
   return m;
 }
 
@@ -123,6 +141,7 @@ Measured run_point(const SweepPoint& p, int reps) {
 int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   const int reps = static_cast<int>(cli.get_int("reps", 5));
+  const int trials = std::max(1, static_cast<int>(cli.get_int("trials", 1)));
   const std::string baseline_out =
       cli.get("baseline-out", "results/baselines/BENCH_batched_launch.json");
   std::cout << "# Extension: fused batched-launch amortization "
@@ -140,8 +159,10 @@ int main(int argc, char** argv) {
                                   sim::DeviceProperties::tesla_k40c());
   bench::BenchReport loop_report("batched_launch",
                                  sim::DeviceProperties::tesla_k40c());
-  fused_report.set_config("reps", telemetry::Json(reps));
-  loop_report.set_config("reps", telemetry::Json(reps));
+  for (bench::BenchReport* r : {&fused_report, &loop_report}) {
+    r->set_config("reps", telemetry::Json(reps));
+    r->set_config("trials", telemetry::Json(trials));
+  }
   loop_report.set_config("path", telemetry::Json("per-call loop"));
   fused_report.set_config("path", telemetry::Json("fused super-grid"));
 
@@ -151,7 +172,7 @@ int main(int argc, char** argv) {
   for (const auto& [ext, perm] : problems) {
     const Index volume = Shape(ext).volume();
     for (const int b : batches) {
-      const Measured m = run_point({ext, perm, b}, reps);
+      const Measured m = run_point({ext, perm, b}, reps, trials);
       all_identical = all_identical && m.identical;
       const std::string id =
           "v" + std::to_string(volume) + "/b" + std::to_string(b);

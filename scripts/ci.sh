@@ -81,15 +81,17 @@ echo "specialization gate: >=1.5x geomean holds and polarity self-test trips"
 echo "== perfdiff: fused batched-launch speedup gate (fresh run) =="
 # The fused super-grid path must stay >=2x faster (amortized) than the
 # per-call loop at batch >= 64 on small tensors. The bench re-measures
-# both paths on THIS machine (and exits non-zero if the fused outputs
-# or counters ever diverge from the loop — the bit-identity guard);
+# both paths on THIS machine, reporting each point's median over 5
+# trials so one noisy run cannot decide the gate (and exits non-zero
+# if the fused outputs or counters ever diverge from the loop — the
+# bit-identity guard);
 # perfdiff then gates each acceptance case. The committed trajectory
 # twin lives at results/BENCH_batched_launch.json with its loop
 # baseline archived under results/baselines/. The final invocation is
 # the polarity self-test: an injected slowdown must trip the gate.
 batched_dir=$(mktemp -d)
 TTLG_BENCH_JSON_DIR="$batched_dir" build/bench/ext_batched_launch \
-  --baseline-out "$batched_dir/loop.json" >/dev/null
+  --trials 5 --baseline-out "$batched_dir/loop.json" >/dev/null
 for key in v1024/b64 v1024/b256; do
   build/tools/perfdiff --filter "$key" --min-geomean-speedup 2.0 \
     "$batched_dir/loop.json" "$batched_dir/BENCH_batched_launch.json"

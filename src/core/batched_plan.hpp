@@ -32,19 +32,6 @@ struct BatchedResult {
   bool fused = false;
 };
 
-namespace detail {
-/// Telemetry sinks for the batched engine (core/batched_plan.cpp):
-/// plan.batch.* counters/histograms and the plan.batched log event.
-void note_batched(std::size_t members, bool fused);
-/// Robustness-class: fused attempt failed retryably, loop fallback runs.
-void note_batched_fallback(const Error& cause);
-/// Robustness-class: member `failed_index` of `total` failed mid-loop
-/// after `failed_index` members completed; lands in the flight-recorder
-/// ring for the post-mortem dump.
-void note_member_failure(std::size_t failed_index, std::size_t total,
-                         const Error& cause);
-}  // namespace detail
-
 /// Batched execution engine over any plan (the server coalescer holds
 /// shared_ptr<const Plan> from the cache, so this is a free function;
 /// BatchedPlan below is the owning convenience wrapper). Fuses when the
@@ -74,7 +61,8 @@ BatchedResult run_batched(
         res.per_member.push_back(run.counters);
       }
       res.fused = true;
-      detail::note_batched(batch.size(), /*fused=*/true);
+      telemetry::event(telemetry::Site::kBatchFused,
+                       {{"members", batch.size()}, {"fused", "1"}});
       return res;
     } catch (const Error& e) {
       // Non-retryable (bad buffers, size mismatch) propagates with its
@@ -82,7 +70,8 @@ BatchedResult run_batched(
       // whose per-member ladder owns recovery.
       if (!retryable(e.code())) throw;
       throw_if_past_deadline("batched_plan.fused_fallback");
-      detail::note_batched_fallback(e);
+      telemetry::event(telemetry::Site::kBatchFallback,
+                       {{"code", to_string(e.code())}, {"cause", e.what()}});
     }
   }
   std::size_t done = 0;
@@ -99,14 +88,17 @@ BatchedResult run_batched(
     // Partial progress must not vanish silently: the classified error
     // names the failing member and the completed count, and the flight
     // recorder keeps the context for the post-mortem dump.
-    detail::note_member_failure(done, batch.size(), e);
+    telemetry::event(telemetry::Site::kBatchMemberFailed,
+                     {{"member", done}, {"members", batch.size()},
+                      {"code", to_string(e.code())}, {"cause", e.what()}});
     throw Error("batched member " + std::to_string(done) + " of " +
                     std::to_string(batch.size()) + " failed after " +
                     std::to_string(done) + " member(s) completed: " +
                     e.what(),
                 e.code());
   }
-  detail::note_batched(batch.size(), /*fused=*/false);
+  telemetry::event(telemetry::Site::kBatchLooped,
+                   {{"members", batch.size()}, {"fused", "0"}});
   return res;
 }
 

@@ -6,21 +6,11 @@
 #include "common/timer.hpp"
 #include "gpusim/fault_injector.hpp"
 #include "telemetry/accuracy.hpp"
+#include "telemetry/event.hpp"
 #include "telemetry/flight_recorder.hpp"
-#include "telemetry/log.hpp"
-#include "telemetry/metrics.hpp"
-#include "telemetry/trace.hpp"
 
 namespace ttlg {
 namespace {
-
-// Robustness counters are recorded unconditionally (no
-// counters_enabled() gate): fallbacks are rare, so the cost is nil, and
-// the counters are the primary post-mortem signal for "did this process
-// ever degrade".
-void count_robustness(const std::string& name) {
-  telemetry::MetricsRegistry::global().counter(name).inc();
-}
 
 /// The generic Orthogonal-Arbitrary selection used when the
 /// model-chosen schema cannot be materialized: first admissible slice,
@@ -117,7 +107,7 @@ std::string Plan::describe() const {
 void Plan::finalize_specialization(bool enabled) {
   spec_.reset();
   if (enabled && valid() && path_ == ExecPath::kPlanned) {
-    telemetry::TraceSpan span("plan.specialize", "planner");
+    const telemetry::Stage stage(telemetry::Site::kSpecialize);
     SpecBuildInput in;
     in.problem = &problem_;
     in.sel = &sel_;
@@ -127,82 +117,13 @@ void Plan::finalize_specialization(bool enabled) {
     in.tex_base[2] = tex_.t2.base_addr();
     spec_ = build_spec_program(in);
   }
-  const SpecTier tier = specialization_tier();
-  // Tier counters are always on (robustness-class): whether the fleet
-  // actually runs specialized is a dashboard query, not a debug flag.
-  const auto tier_counter = [](SpecTier t) {
-    return telemetry::CounterRef(telemetry::MetricsRegistry::global(),
-                                 std::string("plan.specialization_tier.") +
-                                     to_string(t));
-  };
-  static telemetry::CounterRef tier_counters[] = {
-      tier_counter(SpecTier::kGeneric), tier_counter(SpecTier::kStrideProgram),
-      tier_counter(SpecTier::kTemplated), tier_counter(SpecTier::kAffineBulk)};
-  tier_counters[static_cast<int>(tier)].inc();
-  if (telemetry::log_site_enabled(telemetry::LogLevel::kInfo)) {
-    telemetry::LogEvent ev(telemetry::LogLevel::kInfo, "planner",
-                           "plan.specialized");
-    ev.field("tier", to_string(tier))
-        .field("schema", to_string(sel_.schema))
-        .field("enabled", enabled ? "1" : "0");
-    if (spec_)
-      ev.field("program_bytes",
-               static_cast<double>(spec_->footprint_bytes()));
-    ev.detail(std::string("tier=") + to_string(tier) + " " +
-              to_string(sel_.schema));
-  }
-  if (telemetry::recorder_enabled()) {
-    telemetry::FlightRecorder::global().note(
-        telemetry::LogLevel::kInfo, "planner", "plan.specialized",
-        std::string("tier=") + to_string(tier) + " schema=" +
-            to_string(sel_.schema));
-  }
-}
-
-void Plan::record_execution(const sim::LaunchResult& res,
-                            bool planned_kernel) const {
-  static telemetry::CounterRef executions(telemetry::MetricsRegistry::global(),
-                                          "plan.executions");
-  executions.inc();
-  if (telemetry::counters_enabled())
-    telemetry::MetricsRegistry::global()
-        .histogram("plan.exec_us", {1.0, 3.0, 10.0, 30.0, 100.0, 300.0,
-                                    1000.0, 3000.0, 10000.0})
-        .observe(res.time_s * 1e6);
-  // Accuracy residuals compare the model's prediction with the kernel
-  // it actually predicted — fallback executions would poison them.
-  if (planned_kernel)
-    telemetry::ModelAccuracy::global().record(to_string(sel_.schema),
-                                              sel_.predicted_s, res.time_s);
-}
-
-void Plan::note_fallback(const char* stage, const char* to,
-                         const Error& cause) const {
-  count_robustness(std::string("robustness.fallback.") + stage + "." + to);
-  if (telemetry::log_site_enabled(telemetry::LogLevel::kWarn)) {
-    telemetry::LogEvent ev(telemetry::LogLevel::kWarn, "robustness",
-                           "fallback");
-    ev.field("stage", stage)
-        .field("to", to)
-        .field("code", to_string(cause.code()))
-        .field("cause", std::string(cause.what()));
-    ev.detail(std::string(stage) + "->" + to + " on " +
-              to_string(cause.code()));
-  }
-  if (telemetry::trace_enabled()) {
-    telemetry::Json args = telemetry::Json::object();
-    args["stage"] = stage;
-    args["to"] = to;
-    args["code"] = to_string(cause.code());
-    args["cause"] = std::string(cause.what());
-    telemetry::TraceCollector::global().instant("robustness.fallback",
-                                                "robustness",
-                                                std::move(args));
-  }
-}
-
-void Plan::note_recovered() const {
-  count_robustness("robustness.recovered");
+  std::optional<std::int64_t> program_bytes;
+  if (spec_) program_bytes = spec_->footprint_bytes();
+  telemetry::event(telemetry::Site::kSpecialized,
+                   {{"tier", to_string(specialization_tier())},
+                    {"schema", to_string(sel_.schema)},
+                    {"enabled", enabled ? "1" : "0"},
+                    {"program_bytes", program_bytes}});
 }
 
 void Plan::validate_exec_buffers(Index in_base, Index in_bytes,
@@ -249,7 +170,7 @@ const NaiveConfig& Plan::naive_config() const {
 
 Plan Plan::from_selection(sim::Device& dev, TransposeProblem problem,
                           KernelSelection sel) {
-  telemetry::TraceSpan span("plan.upload_offsets", "planner");
+  const telemetry::Stage stage(telemetry::Site::kUploadOffsets);
   Plan plan;
   plan.dev_ = &dev;
   plan.problem_ = std::move(problem);
@@ -279,7 +200,7 @@ Plan make_plan(sim::Device& dev, const Shape& shape, const Permutation& perm,
   const telemetry::ScopedLevel scoped_level(opts.telemetry);
   std::optional<sim::ScopedFaults> scoped_faults;
   if (opts.faults) scoped_faults.emplace(*opts.faults);
-  telemetry::TraceSpan span("make_plan", "planner");
+  telemetry::Stage stage(telemetry::Site::kMakePlan);
   WallTimer timer;
   auto problem = TransposeProblem::make(shape, perm, opts.elem_size);
   const PerfModel model(dev.props(), opts.model);
@@ -301,17 +222,16 @@ Plan make_plan(sim::Device& dev, const Shape& shape, const Permutation& perm,
         plan = Plan::from_selection(
             dev, problem, generic_oa_selection(problem, model, dev.props()));
         plan.path_ = ExecPath::kGenericOa;
-        plan.note_fallback("plan", "oa", e);
         recovered = true;
       } catch (const Error& e2) {
         if (!retryable(e2.code())) throw;
       }
     }
-    if (!recovered) {
-      plan = Plan::naive_fallback_plan(dev, problem, sel);
-      plan.note_fallback("plan", "naive", e);
-    }
-    plan.note_recovered();
+    if (!recovered) plan = Plan::naive_fallback_plan(dev, problem, sel);
+    telemetry::event(telemetry::Site::kFallback,
+                     {{"stage", "plan"}, {"to", recovered ? "oa" : "naive"},
+                      {"code", to_string(e.code())}, {"cause", e.what()}});
+    telemetry::event(telemetry::Site::kRecovered);
   }
   plan.fallback_enabled_ = opts.enable_fallback;
   plan.max_exec_retries_ = opts.max_exec_retries;
@@ -321,46 +241,21 @@ Plan make_plan(sim::Device& dev, const Shape& shape, const Permutation& perm,
   plan.finalize_specialization(opts.specialize &&
                                specialization_enabled_by_env());
   plan.plan_wall_s_ = timer.seconds();
-  if (telemetry::counters_enabled()) {
-    auto& reg = telemetry::MetricsRegistry::global();
-    reg.counter("plan.created").inc();
-    reg.histogram("plan.wall_ms",
-                  {0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0})
-        .observe(plan.plan_wall_s_ * 1e3);
-  }
-  if (telemetry::log_site_enabled(telemetry::LogLevel::kInfo)) {
-    telemetry::LogEvent ev(telemetry::LogLevel::kInfo, "planner",
-                           "plan.created");
-    ev.field("shape", shape.to_string())
-        .field("perm", perm.to_string())
-        .field("schema", to_string(plan.schema()))
-        .field("predicted_us", plan.predicted_time_s() * 1e6)
-        .field("plan_wall_ms", plan.plan_wall_s() * 1e3);
-    if (plan.degraded()) ev.field("degraded", to_string(plan.plan_path()));
-    ev.detail(std::string(to_string(plan.schema())) + " " +
-              shape.to_string() + "->" + perm.to_string());
-  }
-  if (span.active()) {
-    span.arg("shape", shape.to_string());
-    span.arg("perm", perm.to_string());
-    span.arg("schema", to_string(plan.schema()));
-    span.arg("predicted_us", plan.predicted_time_s() * 1e6);
-    span.arg("plan_wall_ms", plan.plan_wall_s() * 1e3);
-    if (plan.degraded()) span.arg("degraded", to_string(plan.plan_path()));
-  }
+  stage.emit({{"shape", shape.to_string()},
+              {"perm", perm.to_string()},
+              {"schema", to_string(plan.schema())},
+              {"predicted_us", plan.predicted_time_s() * 1e6},
+              {"plan_wall_ms", plan.plan_wall_s() * 1e3},
+              {"degraded", plan.degraded() ? to_string(plan.plan_path())
+                                           : std::optional<const char*>()}});
   return plan;
 }
 
 const Status& note_status_failure(const char* site, const Status& st) {
   if (st.is_ok()) return st;
-  if (telemetry::log_site_enabled(telemetry::LogLevel::kError)) {
-    telemetry::LogEvent ev(telemetry::LogLevel::kError, "robustness",
-                           "status.error");
-    ev.field("site", site)
-        .field("code", to_string(st.code()))
-        .field("message", st.message());
-    ev.detail(std::string(site) + ": " + st.to_string());
-  }
+  telemetry::event(telemetry::Site::kStatusError,
+                   {{"site", site}, {"code", to_string(st.code())},
+                    {"message", st.message()}});
   telemetry::FlightRecorder::global().dump_on_error(site, st.code(),
                                                     st.message());
   return st;

@@ -27,6 +27,7 @@
 #include "core/planner.hpp"
 #include "core/spec_exec.hpp"
 #include "gpusim/device.hpp"
+#include "telemetry/event.hpp"
 
 namespace ttlg {
 
@@ -139,68 +140,19 @@ class Plan {
                           in.valid(), out.base_addr(),
                           out.size() * static_cast<Index>(sizeof(T)),
                           out.valid());
-    const Epilogue<T> epi{alpha, beta};
     const std::pair<sim::DeviceBuffer<T>, sim::DeviceBuffer<T>> member{in,
                                                                         out};
-    sim::LaunchResult res;
-
-    if (path_ == ExecPath::kNaive) {
-      res = launch_naive<T>(*dev_, naive_config(), in, out, epi);
-      last_path_ = ExecPath::kNaive;
-      record_execution(res, /*planned_kernel=*/false);
-      return res;
-    }
-
-    // Rung 1: the planned kernel, with bounded retry.
-    for (int attempt = 0;;) {
-      try {
-        res = launch_planned<T>({&member, 1}, epi).front();
-        last_path_ = path_;
-        record_execution(res, /*planned_kernel=*/true);
-        return res;
-      } catch (const Error& e) {
-        if (!fallback_enabled_ || !retryable(e.code())) throw;
-        // A doomed request must not keep descending the ladder: every
-        // rung transition is a deadline cancellation point (the serving
-        // layer installs the context via ScopedDeadline).
-        throw_if_past_deadline("plan.execute.retry");
-        if (attempt++ < max_exec_retries_) {
-          note_fallback("exec", "retry", e);
-          continue;
-        }
-        note_fallback("exec", sel_.schema != Schema::kOrthogonalArbitrary
-                                  ? "oa"
-                                  : "naive",
-                      e);
-        break;
-      }
-    }
-
-    // Rung 2: the generic Orthogonal-Arbitrary path (skipped when the
-    // planned kernel already was OA — it would fail the same way).
-    if (sel_.schema != Schema::kOrthogonalArbitrary &&
-        ensure_exec_oa_fallback()) {
-      try {
-        res = launch_generic<T>(*dev_, *fb_sel_, fb_tex_, {&member, 1}, epi)
-                  .front();
-        last_path_ = ExecPath::kGenericOa;
-        note_recovered();
-        record_execution(res, /*planned_kernel=*/false);
-        return res;
-      } catch (const Error& e) {
-        if (!retryable(e.code())) throw;
-        throw_if_past_deadline("plan.execute.oa_fallback");
-        note_fallback("exec", "naive", e);
-      }
-    }
-
-    // Rung 3: the naive kernel — no shared memory, no texture arrays.
-    // If even this launch fails the classified error propagates.
-    throw_if_past_deadline("plan.execute.naive_fallback");
-    res = launch_naive<T>(*dev_, naive_config(), in, out, epi);
-    last_path_ = ExecPath::kNaive;
-    note_recovered();
-    record_execution(res, /*planned_kernel=*/false);
+    bool planned = false;
+    const sim::LaunchResult res =
+        run_ladder<T>(member, Epilogue<T>{alpha, beta}, planned);
+    // Accuracy residuals compare the model's prediction with the kernel
+    // it actually predicted — fallback executions would poison them.
+    telemetry::event(telemetry::Site::kPlanExecution,
+                     {{"exec_us", res.time_s * 1e6},
+                      {"schema", to_string(sel_.schema)},
+                      {"predicted_s", planned ? std::optional(sel_.predicted_s)
+                                              : std::nullopt},
+                      {"measured_s", res.time_s}});
     return res;
   }
 
@@ -254,7 +206,7 @@ class Plan {
         launch_planned<T>({&member, 1}, Epilogue<T>{alpha, beta}, win)
             .front();
     last_path_ = path_;
-    // No record_execution: the model predicted the FULL grid, so a
+    // No kPlanExecution event: the model predicted the FULL grid, so a
     // window would pollute the accuracy residuals.
     return res;
   }
@@ -292,7 +244,11 @@ class Plan {
         launch_planned<T>(members, Epilogue<T>{alpha, beta});
     last_path_ = path_;
     for (const sim::LaunchResult& r : res)
-      record_execution(r, /*planned_kernel=*/true);
+      telemetry::event(telemetry::Site::kPlanExecution,
+                       {{"exec_us", r.time_s * 1e6},
+                        {"schema", to_string(sel_.schema)},
+                        {"predicted_s", sel_.predicted_s},
+                        {"measured_s", r.time_s}});
     return res;
   }
 
@@ -330,6 +286,74 @@ class Plan {
     return launch_generic<T>(*dev_, sel_, tex_, members, epi, win);
   }
 
+  /// The execute-time degradation ladder; `planned` reports whether the
+  /// model-selected kernel (rung 1) produced the result.
+  template <class T>
+  sim::LaunchResult run_ladder(
+      const std::pair<sim::DeviceBuffer<T>, sim::DeviceBuffer<T>>& member,
+      const Epilogue<T>& epi, bool& planned) const {
+    if (path_ == ExecPath::kNaive) {
+      const auto res = launch_naive<T>(*dev_, naive_config(), member.first,
+                                       member.second, epi);
+      last_path_ = ExecPath::kNaive;
+      return res;
+    }
+
+    // Rung 1: the planned kernel, with bounded retry.
+    for (int attempt = 0;;) {
+      try {
+        const auto res = launch_planned<T>({&member, 1}, epi).front();
+        last_path_ = path_;
+        planned = true;
+        return res;
+      } catch (const Error& e) {
+        if (!fallback_enabled_ || !retryable(e.code())) throw;
+        // A doomed request must not keep descending the ladder: every
+        // rung transition is a deadline cancellation point (the serving
+        // layer installs the context via ScopedDeadline).
+        throw_if_past_deadline("plan.execute.retry");
+        const bool retry = attempt++ < max_exec_retries_;
+        const char* to = retry ? "retry"
+                         : sel_.schema != Schema::kOrthogonalArbitrary
+                             ? "oa"
+                             : "naive";
+        telemetry::event(telemetry::Site::kFallback,
+                         {{"stage", "exec"}, {"to", to},
+                          {"code", to_string(e.code())}, {"cause", e.what()}});
+        if (!retry) break;
+      }
+    }
+
+    // Rung 2: the generic Orthogonal-Arbitrary path (skipped when the
+    // planned kernel already was OA — it would fail the same way).
+    if (sel_.schema != Schema::kOrthogonalArbitrary &&
+        ensure_exec_oa_fallback()) {
+      try {
+        const auto res =
+            launch_generic<T>(*dev_, *fb_sel_, fb_tex_, {&member, 1}, epi)
+                .front();
+        last_path_ = ExecPath::kGenericOa;
+        telemetry::event(telemetry::Site::kRecovered);
+        return res;
+      } catch (const Error& e) {
+        if (!retryable(e.code())) throw;
+        throw_if_past_deadline("plan.execute.oa_fallback");
+        telemetry::event(telemetry::Site::kFallback,
+                         {{"stage", "exec"}, {"to", "naive"},
+                          {"code", to_string(e.code())}, {"cause", e.what()}});
+      }
+    }
+
+    // Rung 3: the naive kernel — no shared memory, no texture arrays.
+    // If even this launch fails the classified error propagates.
+    throw_if_past_deadline("plan.execute.naive_fallback");
+    const auto res = launch_naive<T>(*dev_, naive_config(), member.first,
+                                     member.second, epi);
+    last_path_ = ExecPath::kNaive;
+    telemetry::event(telemetry::Site::kRecovered);
+    return res;
+  }
+
   /// Out-of-place + materialization guards shared by all rungs.
   void validate_exec_buffers(Index in_base, Index in_bytes, bool in_backed,
                              Index out_base, Index out_bytes,
@@ -340,14 +364,6 @@ class Plan {
   bool ensure_exec_oa_fallback() const;
   /// Lazily built naive-kernel config (rung 3).
   const NaiveConfig& naive_config() const;
-  /// Telemetry sinks: fallback step (always counted — the path is rare
-  /// and the counters are load-bearing for recovery diagnosis),
-  /// recovery marker, and per-execution counters/accuracy residuals.
-  void note_fallback(const char* stage, const char* to,
-                     const Error& cause) const;
-  void note_recovered() const;
-  void record_execution(const sim::LaunchResult& res,
-                        bool planned_kernel) const;
 
   sim::Device* dev_ = nullptr;
   TransposeProblem problem_;

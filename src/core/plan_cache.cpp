@@ -1,27 +1,8 @@
 #include "core/plan_cache.hpp"
 
-#include "telemetry/log.hpp"
-#include "telemetry/metrics.hpp"
-#include "telemetry/trace.hpp"
+#include "telemetry/event.hpp"
 
 namespace ttlg {
-namespace {
-
-void count_cache_event(const char* name) {
-  if (telemetry::counters_enabled())
-    telemetry::MetricsRegistry::global().counter(name).inc();
-}
-
-void log_cache_event(telemetry::LogLevel lv, const char* event,
-                     const Shape& shape, const Permutation& perm) {
-  if (!telemetry::log_site_enabled(lv)) return;
-  telemetry::LogEvent ev(lv, "plan_cache", event);
-  ev.field("shape", shape.to_string()).field("perm", perm.to_string());
-  ev.detail(shape.to_string() + "->" + perm.to_string());
-}
-
-}  // namespace
-
 std::shared_ptr<const Plan> PlanCache::get_shared(sim::Device& dev,
                                                   const Shape& shape,
                                                   const Permutation& perm,
@@ -46,8 +27,9 @@ std::shared_ptr<const Plan> PlanCache::get_shared(sim::Device& dev,
       ++stats_.hits;
       it->second.last_use = ++tick_;
       if (was_hit) *was_hit = true;
-      count_cache_event("plan_cache.hit");
-      log_cache_event(telemetry::LogLevel::kDebug, "hit", shape, perm);
+      telemetry::event(telemetry::Site::kCacheHit,
+                       {{"shape", shape.to_string()},
+                        {"perm", perm.to_string()}});
       return it->second.plan;
     }
   }
@@ -65,20 +47,22 @@ std::shared_ptr<const Plan> PlanCache::get_shared(sim::Device& dev,
       std::lock_guard<std::mutex> lk(mu_);
       ++stats_.failures;
     }
-    count_cache_event("plan_cache.failure");
-    log_cache_event(telemetry::LogLevel::kWarn, "failure", shape, perm);
+    telemetry::event(telemetry::Site::kCacheFailure,
+                     {{"shape", shape.to_string()},
+                      {"perm", perm.to_string()}});
     throw;
   }
   std::lock_guard<std::mutex> lk(mu_);
   ++stats_.misses;
-  count_cache_event("plan_cache.miss");
-  log_cache_event(telemetry::LogLevel::kDebug, "miss", shape, perm);
+  telemetry::event(telemetry::Site::kCacheMiss,
+                   {{"shape", shape.to_string()}, {"perm", perm.to_string()}});
   if (plan->degraded()) {
     // Degraded plans are served but not retained — the pressure that
     // forced the fallback may clear, and the next get() should replan.
     ++stats_.uncacheable;
-    count_cache_event("plan_cache.uncacheable");
-    log_cache_event(telemetry::LogLevel::kInfo, "uncacheable", shape, perm);
+    telemetry::event(telemetry::Site::kCacheUncacheable,
+                     {{"shape", shape.to_string()},
+                      {"perm", perm.to_string()}});
     return plan;
   }
   // A concurrent miss for the same key may have raced us here: first
@@ -125,12 +109,8 @@ void PlanCache::evict_lru() {
   }
   cache_.erase(victim);  // the shared_ptr frees the plan once unreferenced
   ++stats_.evictions;
-  count_cache_event("plan_cache.eviction");
-  if (telemetry::log_site_enabled(telemetry::LogLevel::kDebug)) {
-    telemetry::LogEvent ev(telemetry::LogLevel::kDebug, "plan_cache", "evict");
-    ev.field("size", static_cast<std::int64_t>(cache_.size()))
-        .field("evictions", stats_.evictions);
-  }
+  telemetry::event(telemetry::Site::kCacheEvict,
+                   {{"size", cache_.size()}, {"evictions", stats_.evictions}});
 }
 
 }  // namespace ttlg

@@ -7,7 +7,7 @@
 #include <sstream>
 #include <string>
 
-#include "telemetry/log.hpp"
+#include "telemetry/event.hpp"
 
 namespace ttlg {
 namespace {
@@ -182,12 +182,10 @@ void save_plan(std::ostream& os, const Plan& plan) {
   const std::string payload = body.str();
   os << payload << "checksum " << std::hex << fnv1a(payload) << std::dec
      << '\n';
-  if (telemetry::log_site_enabled(telemetry::LogLevel::kDebug)) {
-    telemetry::LogEvent ev(telemetry::LogLevel::kDebug, "plan_io", "save");
-    ev.field("schema", to_string(sel.schema))
-        .field("shape", problem.shape.to_string())
-        .field("bytes", static_cast<std::int64_t>(payload.size()));
-  }
+  telemetry::event(telemetry::Site::kPlanSave,
+                   {{"schema", to_string(sel.schema)},
+                    {"shape", problem.shape.to_string()},
+                    {"bytes", payload.size()}});
 }
 
 Plan load_plan(sim::Device& dev, std::istream& is) {
@@ -249,11 +247,9 @@ Plan load_plan(sim::Device& dev, std::istream& is) {
                std::string("plan file body is corrupt: ") + e.what());
   }
 
-  if (telemetry::log_site_enabled(telemetry::LogLevel::kDebug)) {
-    telemetry::LogEvent ev(telemetry::LogLevel::kDebug, "plan_io", "load");
-    ev.field("schema", to_string(parsed.second.schema))
-        .field("shape", parsed.first.shape.to_string());
-  }
+  telemetry::event(telemetry::Site::kPlanLoad,
+                   {{"schema", to_string(parsed.second.schema)},
+                    {"shape", parsed.first.shape.to_string()}});
 
   // Outside the catch: a device-side failure while uploading offset
   // arrays is a resource problem, not data loss, and must keep its own

@@ -5,14 +5,19 @@
 #include "common/error.hpp"
 #include "core/kernels.hpp"
 #include "gpusim/lane.hpp"
-#include "telemetry/log.hpp"
-#include "telemetry/metrics.hpp"
-#include "telemetry/trace.hpp"
+#include "telemetry/event.hpp"
 
 namespace ttlg {
 namespace {
 
 constexpr Index kWS = sim::kWarpSize;
+
+/// A slice search's best predicted time in microseconds, if any.
+template <class Best>
+std::optional<double> best_us(const Best& best) {
+  if (!best) return std::nullopt;
+  return best->second * 1e6;
+}
 
 bool fvi_small_conditions_hold(const TransposeProblem& p) {
   const Shape& fs = p.fused.shape;
@@ -28,7 +33,7 @@ bool fvi_small_conditions_hold(const TransposeProblem& p) {
 Schema classify(const TransposeProblem& problem) {
   const Shape& fs = problem.fused.shape;
   const Permutation& fp = problem.fused.perm;
-  telemetry::TraceSpan span("classify", "planner");
+  telemetry::Stage stage(telemetry::Site::kClassify);
 
   Schema schema;
   const char* path;
@@ -56,20 +61,9 @@ Schema classify(const TransposeProblem& problem) {
     path = "WS-prefixes overlap -> Orthogonal-Arbitrary (model may "
            "still pick a truncated OD slice)";
   }
-  if (span.active()) {
-    span.arg("fused_rank", fs.rank());
-    span.arg("fused_shape", fs.to_string());
-    span.arg("fvi_matches", fp.fvi_matches());
-    span.arg("decision", to_string(schema));
-    span.arg("path", path);
-  }
-  if (telemetry::log_site_enabled(telemetry::LogLevel::kDebug)) {
-    telemetry::LogEvent ev(telemetry::LogLevel::kDebug, "planner", "classify");
-    ev.field("fused_shape", fs.to_string())
-        .field("decision", to_string(schema))
-        .field("path", path);
-    ev.detail(path);
-  }
+  stage.emit({{"fused_rank", fs.rank()}, {"fused_shape", fs.to_string()},
+              {"fvi_matches", fp.fvi_matches()},
+              {"decision", to_string(schema)}, {"path", path}});
   return schema;
 }
 
@@ -91,42 +85,22 @@ KernelSelection select_kernel(const TransposeProblem& problem,
   const sim::DeviceProperties& props = model.props();
   const Index max_smem_elems =
       props.shared_mem_per_block_bytes / problem.elem_size;
-  telemetry::TraceSpan span("select_kernel", "planner");
-  if (span.active()) {
-    span.arg("shape", problem.shape.to_string());
-    span.arg("perm", problem.perm.to_string());
-    span.arg("elem_size", problem.elem_size);
-  }
+  telemetry::Stage stage(telemetry::Site::kSelectKernel);
   KernelSelection sel;
   sel.schema = classify(problem);
 
   auto finish = [&](KernelSelection s) {
-    if (telemetry::counters_enabled()) {
-      auto& reg = telemetry::MetricsRegistry::global();
-      reg.counter("planner.selections").inc();
-      reg.counter("planner.candidates_considered")
-          .inc(s.candidates_considered);
-      reg.counter("planner.schema." + to_string(s.schema)).inc();
-    }
-    if (span.active()) {
-      span.arg("schema", to_string(s.schema));
-      span.arg("predicted_us", s.predicted_s * 1e6);
-      span.arg("candidates_considered", s.candidates_considered);
-    }
-    if (telemetry::log_site_enabled(telemetry::LogLevel::kDebug)) {
-      telemetry::LogEvent ev(telemetry::LogLevel::kDebug, "planner",
-                             "select_kernel");
-      ev.field("schema", to_string(s.schema))
-          .field("predicted_us", s.predicted_s * 1e6)
-          .field("candidates_considered", s.candidates_considered);
-      ev.detail(std::string(to_string(s.schema)) + " from " +
-                std::to_string(s.candidates_considered) + " candidates");
-    }
+    stage.emit({{"shape", problem.shape.to_string()},
+                {"perm", problem.perm.to_string()},
+                {"elem_size", problem.elem_size},
+                {"schema", to_string(s.schema)},
+                {"predicted_us", s.predicted_s * 1e6},
+                {"candidates_considered", s.candidates_considered}});
     return s;
   };
 
   auto select_oa = [&]() -> std::optional<std::pair<OaConfig, double>> {
-    telemetry::TraceSpan search("slice_search.oa", "planner");
+    telemetry::Stage search(telemetry::Site::kSliceSearchOa);
     auto cands = enumerate_oa_slices(problem, max_smem_elems);
     std::optional<std::pair<OaSlice, double>> best;
     for (const auto& s : cands) {
@@ -134,21 +108,14 @@ KernelSelection select_kernel(const TransposeProblem& problem,
                                             /*with_offsets=*/false);
       const double t = model.predict_oa(problem, geom);
       ++sel.candidates_considered;
-      if (search.active()) {
-        telemetry::Json a = telemetry::Json::object();
-        a["in_vol"] = geom.in_vol;
-        a["oos_vol"] = geom.oos_vol;
-        a["block_a"] = s.block_a;
-        a["block_b"] = s.block_b;
-        a["predicted_us"] = t * 1e6;
-        search.instant("oa_candidate", std::move(a));
-      }
+      telemetry::event(telemetry::Site::kOaCandidate,
+                       {{"in_vol", geom.in_vol}, {"oos_vol", geom.oos_vol},
+                        {"block_a", s.block_a}, {"block_b", s.block_b},
+                        {"predicted_us", t * 1e6}});
       if (!best || t < best->second) best = {s, t};
     }
-    if (search.active()) {
-      search.arg("candidates", static_cast<std::int64_t>(cands.size()));
-      if (best) search.arg("best_predicted_us", best->second * 1e6);
-    }
+    search.emit({{"candidates", cands.size()},
+                 {"best_predicted_us", best_us(best)}});
     if (!best) return std::nullopt;
     return std::make_pair(
         build_oa_config(problem, best->first, opts.enable_coarsening),
@@ -156,7 +123,7 @@ KernelSelection select_kernel(const TransposeProblem& problem,
   };
 
   auto select_fvi_small = [&]() -> std::optional<std::pair<FviSmallConfig, double>> {
-    telemetry::TraceSpan search("slice_search.fvi_small", "planner");
+    telemetry::Stage search(telemetry::Site::kSliceSearchFviSmall);
     std::optional<std::pair<FviSmallConfig, double>> best;
     Index evaluated = 0;
     for (Index b : enumerate_fvi_small_blockings(problem, max_smem_elems)) {
@@ -165,19 +132,12 @@ KernelSelection select_kernel(const TransposeProblem& problem,
       const double t = model.predict_fvi_small(problem, cfg);
       ++sel.candidates_considered;
       ++evaluated;
-      if (search.active()) {
-        telemetry::Json a = telemetry::Json::object();
-        a["b"] = b;
-        a["pad"] = cfg.pad;
-        a["predicted_us"] = t * 1e6;
-        search.instant("fvi_small_candidate", std::move(a));
-      }
+      telemetry::event(telemetry::Site::kFviSmallCandidate,
+                       {{"b", b}, {"pad", cfg.pad}, {"predicted_us", t * 1e6}});
       if (!best || t < best->second) best = {std::move(cfg), t};
     }
-    if (search.active()) {
-      search.arg("candidates", evaluated);
-      if (best) search.arg("best_predicted_us", best->second * 1e6);
-    }
+    search.emit({{"candidates", evaluated},
+                 {"best_predicted_us", best_us(best)}});
     return best;
   };
 
@@ -208,7 +168,7 @@ KernelSelection select_kernel(const TransposeProblem& problem,
       // 189x27 slice).
       std::optional<std::pair<OdSlice, double>> best_od;
       if (!problem.fused.perm.fvi_matches()) {
-        telemetry::TraceSpan search("slice_search.od", "planner");
+        telemetry::Stage search(telemetry::Site::kSliceSearchOd);
         const Index max_vol =
             od_max_slice_vol(problem, props, opts.overbooking_factor);
         auto cands = enumerate_od_slices(problem, max_vol);
@@ -226,23 +186,15 @@ KernelSelection select_kernel(const TransposeProblem& problem,
               build_od_config(problem, s, /*with_offsets=*/false);
           const double t = model.predict_od(problem, geom);
           ++sel.candidates_considered;
-          if (search.active()) {
-            telemetry::Json a = telemetry::Json::object();
-            a["a_vol"] = s.a_vol;
-            a["b_vol"] = s.b_vol;
-            a["block_a"] = s.block_a;
-            a["block_b"] = s.block_b;
-            a["predicted_us"] = t * 1e6;
-            search.instant("od_candidate", std::move(a));
-          }
+          telemetry::event(telemetry::Site::kOdCandidate,
+                           {{"a_vol", s.a_vol}, {"b_vol", s.b_vol},
+                            {"block_a", s.block_a}, {"block_b", s.block_b},
+                            {"predicted_us", t * 1e6}});
           if (!best_od || t < best_od->second) best_od = {s, t};
         }
-        if (search.active()) {
-          search.arg("max_slice_vol", max_vol);
-          search.arg("enumerated", static_cast<std::int64_t>(enumerated));
-          search.arg("evaluated", static_cast<std::int64_t>(cands.size()));
-          if (best_od) search.arg("best_predicted_us", best_od->second * 1e6);
-        }
+        search.emit({{"max_slice_vol", max_vol}, {"enumerated", enumerated},
+                     {"evaluated", cands.size()},
+                     {"best_predicted_us", best_us(best_od)}});
       }
       if (sel.schema == Schema::kOrthogonalDistinct && best_od) {
         sel.od = build_od_config(problem, best_od->first);

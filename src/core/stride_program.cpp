@@ -12,7 +12,7 @@
 #include "core/launch_helpers.hpp"
 #include "gpusim/block_ctx.hpp"
 #include "gpusim/coalescing.hpp"
-#include "telemetry/metrics.hpp"
+#include "telemetry/event.hpp"
 
 namespace ttlg {
 
@@ -48,29 +48,6 @@ bool specialization_enabled_by_env() {
 namespace {
 
 using sim::kWarpSize;
-
-/// Why a plan stays generic; each reason is a plan.spec.reject.* counter.
-enum class Reject {
-  kLayout,
-  kUntraceable,
-  kClassMismatch,
-  kFootprint,
-  kSelfCheck,
-  kWidth,
-};
-
-void count_reject(Reject why) {
-  auto& reg = telemetry::MetricsRegistry::global();
-  static telemetry::CounterRef counters[] = {
-      {reg, "plan.spec.reject.layout"},
-      {reg, "plan.spec.reject.untraceable"},
-      {reg, "plan.spec.reject.class_mismatch"},
-      {reg, "plan.spec.reject.footprint"},
-      {reg, "plan.spec.reject.self_check"},
-      {reg, "plan.spec.reject.width"},
-  };
-  counters[static_cast<int>(why)].inc();
-}
 
 // Synthetic device base addresses for the in/out views the recorder and
 // the build-time self-check run against. 256-byte aligned like real
@@ -718,7 +695,7 @@ std::shared_ptr<const SpecProgram> build_impl(const SpecBuildInput& bi) {
   const Index s1 = dec.slots() >= 2 ? dec.slot_extent(1) : 1;
   if (s0 != prog->classes.a_chunks || s1 != prog->classes.b_chunks ||
       grid <= 0 || grid % (s0 * s1) != 0) {
-    count_reject(Reject::kLayout);
+    telemetry::event(telemetry::Site::kSpecReject, {{"reason", "layout"}});
     return nullptr;
   }
   const Index outer = grid / (s0 * s1);
@@ -741,7 +718,8 @@ std::shared_ptr<const SpecProgram> build_impl(const SpecBuildInput& bi) {
       if (!record_rep<T>(bi, lc, reps[r], first ? nullptr : &cp,
                          first ? &cp : nullptr, truths.emplace_back(), shadow,
                          tex)) {
-        count_reject(first ? Reject::kUntraceable : Reject::kClassMismatch);
+        const char* reason = first ? "untraceable" : "class_mismatch";
+        telemetry::event(telemetry::Site::kSpecReject, {{"reason", reason}});
         return nullptr;
       }
     }
@@ -763,14 +741,15 @@ std::shared_ptr<const SpecProgram> build_impl(const SpecBuildInput& bi) {
   }
 
   if (prog->footprint_bytes() > kSpecProgramMaxBytes) {
-    count_reject(Reject::kFootprint);
+    telemetry::event(telemetry::Site::kSpecReject, {{"reason", "footprint"}});
     return nullptr;
   }
 
   // Ground-truth self-check on every class representative.
   for (const RepTruth& t : truths) {
     if (!self_check(*prog, t, *bi.props)) {
-      count_reject(Reject::kSelfCheck);
+      telemetry::event(telemetry::Site::kSpecReject,
+                       {{"reason", "self_check"}});
       return nullptr;
     }
   }
@@ -796,7 +775,7 @@ std::shared_ptr<const SpecProgram> build_spec_program(const SpecBuildInput& in) 
     case 4: return build_impl<float>(in);
     case 8: return build_impl<double>(in);
     default:
-      count_reject(Reject::kWidth);
+      telemetry::event(telemetry::Site::kSpecReject, {{"reason", "width"}});
       return nullptr;
   }
 }

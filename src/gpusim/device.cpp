@@ -1,8 +1,5 @@
 #include "gpusim/device.hpp"
 
-#include "telemetry/metrics.hpp"
-#include "telemetry/trace.hpp"
-
 namespace ttlg::sim {
 namespace {
 
@@ -130,85 +127,45 @@ void Device::check_injected_launch_faults(const LaunchConfig& cfg) const {
   }
 }
 
-void Device::note_dispatch(const LaunchConfig& cfg,
-                           const std::vector<LaunchResult>& results,
-                           bool telem, double start_us) const {
-  const auto emit = [&](const LaunchConfig& c, const LaunchResult& r) {
-    if (telem)
-      record_launch_telemetry(c, r, start_us);
-    else
-      log_launch(c, r);
-  };
-  if (results.size() == 1) return emit(cfg, results.front());
+void Device::emit_launch(telemetry::Stage& stage, const LaunchConfig& cfg,
+                         const std::vector<LaunchResult>& results) const {
+  std::string_view kernel =
+      cfg.kernel_name.empty() ? std::string_view("kernel") : cfg.kernel_name;
+  const LaunchResult* res = &results.front();
   LaunchResult agg;
-  for (const LaunchResult& r : results) {
-    agg.counters += r.counters;
-    agg.time_s += r.time_s;
+  std::string batched;
+  if (results.size() > 1) {
+    for (const LaunchResult& r : results) {
+      agg.counters += r.counters;
+      agg.time_s += r.time_s;
+    }
+    agg.counters.block_threads = cfg.block_threads;
+    agg.counters.shared_bytes_per_block = cfg.shared_elems * cfg.elem_size;
+    agg.timing = kernel_timing(props_, agg.counters);
+    batched = std::string(kernel) + "+batched";
+    kernel = batched;
+    res = &agg;
   }
-  agg.counters.block_threads = cfg.block_threads;
-  agg.counters.shared_bytes_per_block = cfg.shared_elems * cfg.elem_size;
-  agg.timing = kernel_timing(props_, agg.counters);
-  LaunchConfig fused = cfg;
-  fused.grid_blocks = agg.counters.grid_blocks;
-  fused.kernel_name += "+batched";
-  emit(fused, agg);
-}
-
-double Device::telemetry_now_us() {
-  return telemetry::TraceCollector::global().now_us();
-}
-
-void Device::log_launch(const LaunchConfig& cfg,
-                        const LaunchResult& res) const {
-  telemetry::LogEvent ev(telemetry::LogLevel::kDebug, "sim", "launch");
-  ev.field("kernel", cfg.kernel_name.empty() ? "kernel" : cfg.kernel_name)
-      .field("grid_blocks", cfg.grid_blocks)
-      .field("block_threads", cfg.block_threads)
-      .field("simulated_us", res.time_s * 1e6);
-  ev.detail((cfg.kernel_name.empty() ? std::string("kernel")
-                                     : cfg.kernel_name) +
-            " " + std::to_string(cfg.grid_blocks) + " blocks");
-}
-
-void Device::record_launch_telemetry(const LaunchConfig& cfg,
-                                     const LaunchResult& res,
-                                     double start_us) const {
-  const std::string& name =
-      cfg.kernel_name.empty() ? std::string("kernel") : cfg.kernel_name;
-
-  auto& reg = telemetry::MetricsRegistry::global();
-  reg.counter("sim.launches").inc();
-  reg.counter("sim.blocks").inc(cfg.grid_blocks);
-  reg.counter("sim.dram_transactions").inc(res.counters.dram_transactions());
-  reg.counter("sim.payload_bytes").inc(res.counters.payload_bytes);
-  reg.counter("sim.smem_bank_conflicts").inc(res.counters.smem_bank_conflicts);
-  reg.gauge("sim.kernel_time_s").add(res.time_s);
-  reg.histogram("sim.launch_us",
-                {1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0, 3000.0, 10000.0})
-      .observe(res.time_s * 1e6);
-  if (telemetry::log_site_enabled(telemetry::LogLevel::kDebug))
-    log_launch(cfg, res);
-
-  if (!telemetry::trace_enabled()) return;
-  auto& tc = telemetry::TraceCollector::global();
-  telemetry::TraceEvent ev;
-  ev.name = "launch:" + name;
-  ev.cat = "sim";
-  ev.ph = 'X';
-  ev.ts_us = start_us;
-  ev.dur_us = tc.now_us() - start_us;  // host time spent simulating
-  ev.depth = tc.depth();
-  telemetry::Json args = res.counters.to_json();
-  args["simulated_time_us"] = res.time_s * 1e6;
-  args["occupancy"] = res.timing.occupancy;
-  args["waves"] = res.timing.waves;
-  args["dram_us"] = res.timing.dram_s * 1e6;
-  args["smem_us"] = res.timing.smem_s * 1e6;
-  args["alu_us"] = res.timing.alu_s * 1e6;
-  args["tex_us"] = res.timing.tex_s * 1e6;
-  args["mode"] = mode_ == ExecMode::kFunctional ? "functional" : "count_only";
-  ev.args = std::move(args);
-  tc.add(std::move(ev));
+  const LaunchCounters& c = res->counters;
+  const TimingBreakdown& t = res->timing;
+  stage.emit(
+      {{"kernel", kernel}, {"gld_transactions", c.gld_transactions},
+       {"gst_transactions", c.gst_transactions},
+       {"smem_load_ops", c.smem_load_ops}, {"smem_store_ops", c.smem_store_ops},
+       {"smem_bank_conflicts", c.smem_bank_conflicts},
+       {"tex_transactions", c.tex_transactions}, {"tex_misses", c.tex_misses},
+       {"special_ops", c.special_ops}, {"fma_ops", c.fma_ops},
+       {"grid_blocks", c.grid_blocks}, {"block_threads", c.block_threads},
+       {"shared_bytes_per_block", c.shared_bytes_per_block},
+       {"barriers", c.barriers}, {"payload_bytes", c.payload_bytes},
+       {"dram_transactions", c.dram_transactions()},
+       {"coalescing_efficiency", c.coalescing_efficiency()},
+       {"simulated_time_us", res->time_s * 1e6}, {"occupancy", t.occupancy},
+       {"waves", t.waves}, {"dram_us", t.dram_s * 1e6},
+       {"smem_us", t.smem_s * 1e6}, {"alu_us", t.alu_s * 1e6},
+       {"tex_us", t.tex_s * 1e6},
+       {"mode", mode_ == ExecMode::kFunctional ? "functional" : "count_only"},
+       {"simulated_us", res->time_s * 1e6}, {"time_s", res->time_s}});
 }
 
 }  // namespace ttlg::sim

@@ -29,8 +29,7 @@
 #include "gpusim/device_properties.hpp"
 #include "gpusim/thread_pool.hpp"
 #include "gpusim/timing_model.hpp"
-#include "telemetry/log.hpp"
-#include "telemetry/telemetry.hpp"
+#include "telemetry/event.hpp"
 
 namespace ttlg::sim {
 
@@ -195,9 +194,7 @@ class Device {
                "fused multi-member launches take whole-grid member configs");
     validate(cfg);
     if (FaultInjector::global().armed()) check_injected_launch_faults(cfg);
-    // One branch on the off path; everything else lives in device.cpp.
-    const bool telem = telemetry::counters_enabled();
-    const double telem_start_us = telem ? telemetry_now_us() : 0.0;
+    telemetry::Stage stage(telemetry::Site::kLaunch);
 
     std::vector<LaunchResult> results(static_cast<std::size_t>(num_members));
     for (LaunchResult& r : results) {
@@ -235,10 +232,7 @@ class Device {
       r.timing = kernel_timing(props_, r.counters);
       r.time_s = r.timing.total_s;
     }
-    // The structured log wants launches even when the counters level is
-    // off.
-    if (telem || telemetry::log_site_enabled(telemetry::LogLevel::kDebug))
-      note_dispatch(cfg, results, telem, telem_start_us);
+    emit_launch(stage, cfg, results);
     return results;
   }
 
@@ -387,23 +381,13 @@ class Device {
     }
   }
 
-  /// Telemetry for one dispatch, kept out of the template: ONE record
-  /// per launch_batched call (sim.launches counts dispatches, which is
+  /// The launch site, kept out of the template: ONE event per
+  /// launch_batched call (sim.launches counts dispatches, which is
   /// exactly what fusion reduces). A fused multi-member dispatch is
-  /// recorded as kernel "<name>+batched" over the whole super-grid with
+  /// reported as kernel "<name>+batched" over the whole super-grid with
   /// the members' summed counters and times.
-  void note_dispatch(const LaunchConfig& cfg,
-                     const std::vector<LaunchResult>& results, bool telem,
-                     double start_us) const;
-  /// Telemetry sinks: registry counters at kCounters and a per-launch
-  /// trace event (with the full LaunchCounters as args) at kTrace.
-  static double telemetry_now_us();
-  void record_launch_telemetry(const LaunchConfig& cfg,
-                               const LaunchResult& res,
-                               double start_us) const;
-  /// kDebug structured-log record for one launch (also mirrored into
-  /// the flight-recorder ring); gated by the caller.
-  void log_launch(const LaunchConfig& cfg, const LaunchResult& res) const;
+  void emit_launch(telemetry::Stage& stage, const LaunchConfig& cfg,
+                   const std::vector<LaunchResult>& results) const;
 
   /// Raises for the `launch`/`tex` fault-injection sites (slow path,
   /// only entered when the injector is armed).

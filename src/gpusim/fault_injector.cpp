@@ -3,10 +3,8 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "telemetry/event.hpp"
 #include "telemetry/flight_recorder.hpp"
-#include "telemetry/log.hpp"
-#include "telemetry/metrics.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace ttlg::sim {
 namespace {
@@ -136,20 +134,9 @@ bool FaultInjector::fire(FaultSite site) {
   if (trig.p > 0 && rng_.uniform01() < trig.p) hit = true;
   if (!hit) return false;
   ++injected_[i];
-  if (telemetry::counters_enabled()) {
-    telemetry::MetricsRegistry::global()
-        .counter(std::string("robustness.fault.injected.") +
-                 sim::to_string(site))
-        .inc();
-  }
-  if (telemetry::log_site_enabled(telemetry::LogLevel::kWarn)) {
-    telemetry::LogEvent ev(telemetry::LogLevel::kWarn, "faults", "injected");
-    ev.field("site", sim::to_string(site))
-        .field("query", n)
-        .field("injected", injected_[i]);
-    ev.detail(std::string("fault at ") + sim::to_string(site) + " (query " +
-              std::to_string(n) + ")");
-  }
+  telemetry::event(telemetry::Site::kFaultInjected,
+                   {{"site", sim::to_string(site)}, {"query", n},
+                    {"injected", injected_[i]}});
   // An injected fault is exactly the post-mortem moment the flight
   // recorder exists for: dump the last-N-events context naming the site.
   telemetry::FlightRecorder::global().dump_on_error(

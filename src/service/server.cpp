@@ -8,48 +8,10 @@
 #include "core/plan.hpp"
 #include "gpusim/thread_pool.hpp"
 #include "shard/sharded_executor.hpp"
-#include "telemetry/log.hpp"
-#include "telemetry/metrics.hpp"
-#include "telemetry/telemetry.hpp"
+#include "telemetry/event.hpp"
 
 namespace ttlg::service {
 namespace {
-
-void bump(const char* name, std::int64_t d = 1) {
-  if (telemetry::counters_enabled())
-    telemetry::MetricsRegistry::global().counter(name).inc(d);
-}
-
-void observe(const char* name, double v) {
-  if (telemetry::counters_enabled())
-    telemetry::MetricsRegistry::global()
-        .histogram(name,
-                   {100, 300, 1000, 3000, 10000, 30000, 100000, 300000, 1e6})
-        .observe(v);
-}
-
-void set_queue_depth(std::size_t depth) {
-  if (telemetry::counters_enabled())
-    telemetry::MetricsRegistry::global()
-        .gauge("service.queue_depth")
-        .set(static_cast<double>(depth));
-}
-
-void log_terminal(const Request& req, const Response& res) {
-  const telemetry::LogLevel lv = res.served() ? telemetry::LogLevel::kDebug
-                                              : telemetry::LogLevel::kWarn;
-  if (!telemetry::log_site_enabled(lv)) return;
-  telemetry::LogEvent ev(lv, "service", "request");
-  ev.field("id", static_cast<double>(req.id))
-      .field("tenant", req.tenant)
-      .field("priority", to_string(req.priority))
-      .field("outcome", to_string(res.outcome))
-      .field("attempts", static_cast<double>(res.attempts))
-      .field("latency_us", static_cast<double>(res.latency_us));
-  if (!res.status.is_ok()) ev.field("status", res.status.to_string());
-  ev.detail(std::string("request ") + to_string(res.outcome) + " tenant=" +
-            req.tenant);
-}
 
 /// Two requests may share one fused launch iff they resolve to the
 /// same plan and epilogue: shape, permutation and alpha/beta must
@@ -112,33 +74,27 @@ std::future<Response> Server::submit(Request req) {
   req.id = next_id_.fetch_add(1, std::memory_order_relaxed);
   const std::int64_t submit_us = clock_.now_us();
   n_.submitted.fetch_add(1, std::memory_order_relaxed);
-  bump("service.submitted");
+  telemetry::event(telemetry::Site::kSubmitted);
 
   // 1. Deadline already blown: classify without touching planner/queue.
   if (req.deadline_us != kNoDeadline && submit_us >= req.deadline_us) {
     n_.expired_admission.fetch_add(1, std::memory_order_relaxed);
-    bump("service.expired.admission");
-    std::promise<Response> p;
-    auto f = p.get_future();
-    p.set_value(reject(req, Outcome::kExpired,
-                       Status::error(ErrorCode::kDeadlineExceeded,
-                                     "deadline expired before admission"),
-                       submit_us));
-    return f;
+    telemetry::event(telemetry::Site::kExpiredAdmission);
+    return reject(req, Outcome::kExpired,
+                  Status::error(ErrorCode::kDeadlineExceeded,
+                                "deadline expired before admission"),
+                  submit_us);
   }
 
   // 2. Tenant over quota: shed with backpressure (retryable).
   if (!quota_.admit(req.tenant)) {
     n_.shed_quota.fetch_add(1, std::memory_order_relaxed);
-    bump("service.shed.quota");
-    std::promise<Response> p;
-    auto f = p.get_future();
-    p.set_value(reject(req, Outcome::kShedQuota,
-                       Status::error(ErrorCode::kUnavailable,
-                                     "tenant '" + req.tenant +
-                                         "' over quota; back off and retry"),
-                       submit_us));
-    return f;
+    telemetry::event(telemetry::Site::kShedQuota);
+    return reject(req, Outcome::kShedQuota,
+                  Status::error(ErrorCode::kUnavailable,
+                                "tenant '" + req.tenant +
+                                    "' over quota; back off and retry"),
+                  submit_us);
   }
 
   // 3. Bounded queue: register the promise BEFORE pushing (a worker may
@@ -157,31 +113,36 @@ std::future<Response> Server::submit(Request req) {
       pending_.erase(id);
     }
     n_.shed_queue_full.fetch_add(1, std::memory_order_relaxed);
-    bump("service.shed.queue_full");
-    std::promise<Response> p;
-    auto rf = p.get_future();
-    p.set_value(reject(req, Outcome::kShedQueueFull,
-                       Status::error(ErrorCode::kUnavailable,
-                                     "request queue full; back off and retry"),
-                       submit_us));
-    return rf;
+    telemetry::event(telemetry::Site::kShedQueueFull);
+    return reject(req, Outcome::kShedQueueFull,
+                  Status::error(ErrorCode::kUnavailable,
+                                "request queue full; back off and retry"),
+                  submit_us);
   }
   n_.admitted.fetch_add(1, std::memory_order_relaxed);
-  bump("service.admitted");
-  set_queue_depth(queue_.size());
+  telemetry::event(telemetry::Site::kAdmitted);
+  telemetry::event(telemetry::Site::kQueueDepth, {{"depth", queue_.size()}});
   return f;
 }
 
-Response Server::reject(const Request& req, Outcome outcome, Status st,
-                        std::int64_t submit_us) {
+std::future<Response> Server::reject(const Request& req, Outcome outcome,
+                                     Status st, std::int64_t submit_us) {
   Response res;
   res.id = req.id;
   res.tenant = req.tenant;
   res.outcome = outcome;
   res.status = std::move(st);
   res.latency_us = clock_.now_us() - submit_us;
-  log_terminal(req, res);
-  return res;
+  telemetry::event(telemetry::Site::kRequestUnserved,
+                   {{"id", static_cast<double>(req.id)}, {"tenant", req.tenant},
+                    {"priority", to_string(req.priority)},
+                    {"outcome", to_string(res.outcome)},
+                    {"attempts", static_cast<double>(res.attempts)},
+                    {"latency_us", static_cast<double>(res.latency_us)},
+                    {"status", res.status.to_string()}});
+  std::promise<Response> p;
+  p.set_value(std::move(res));
+  return p.get_future();
 }
 
 void Server::finish(const Request& req, Response res) {
@@ -197,14 +158,24 @@ void Server::finish(const Request& req, Response res) {
     pending_.erase(it);
   }
   res.latency_us = clock_.now_us() - submit_us;
-  observe("service.latency_us", static_cast<double>(res.latency_us));
-  log_terminal(req, res);
+  telemetry::event(telemetry::Site::kLatency,
+                   {{"latency_us", static_cast<double>(res.latency_us)}});
+  std::optional<std::string> status;
+  if (!res.status.is_ok()) status = res.status.to_string();
+  telemetry::event(res.served() ? telemetry::Site::kRequestServed
+                                : telemetry::Site::kRequestUnserved,
+                   {{"id", static_cast<double>(req.id)}, {"tenant", req.tenant},
+                    {"priority", to_string(req.priority)},
+                    {"outcome", to_string(res.outcome)},
+                    {"attempts", static_cast<double>(res.attempts)},
+                    {"latency_us", static_cast<double>(res.latency_us)},
+                    {"status", status}});
   promise.set_value(std::move(res));
 }
 
 void Server::worker_loop() {
   while (auto req = queue_.pop()) {
-    set_queue_depth(queue_.size());
+    telemetry::event(telemetry::Site::kQueueDepth, {{"depth", queue_.size()}});
     if (cfg_.coalesce.enabled && cfg_.coalesce.max_batch > 1)
       process_coalesced(std::move(*req));
     else
@@ -247,15 +218,15 @@ void Server::process_coalesced(Request leader) {
       auto more = queue_.extract_compatible(pred, want - members.size());
       for (auto& r : more) members.push_back(std::move(r));
     }
-    bump(members.size() > before ? "service.coalesce.window_hit"
-                                 : "service.coalesce.window_miss");
+    telemetry::event(members.size() > before ? telemetry::Site::kWindowHit
+                                             : telemetry::Site::kWindowMiss);
   }
 
   if (members.empty()) {
     process(std::move(leader));
     return;
   }
-  set_queue_depth(queue_.size());
+  telemetry::event(telemetry::Site::kQueueDepth, {{"depth", queue_.size()}});
   std::vector<Request> group;
   group.reserve(members.size() + 1);
   group.push_back(std::move(leader));
@@ -272,7 +243,7 @@ void Server::process_batch(std::vector<Request> reqs) {
   for (Request& req : reqs) {
     if (req.deadline_us != kNoDeadline && dequeue_us >= req.deadline_us) {
       n_.expired_queue.fetch_add(1, std::memory_order_relaxed);
-      bump("service.expired.queue");
+      telemetry::event(telemetry::Site::kExpiredQueue);
       Response res;
       res.id = req.id;
       res.tenant = req.tenant;
@@ -357,9 +328,7 @@ void Server::process_batch(std::vector<Request> reqs) {
     // failure re-runs each member in isolation from attempt 1. The
     // fused failure itself is a robustness-class event.
     free_pairs();
-    telemetry::MetricsRegistry::global()
-        .counter("service.coalesce.fallback")
-        .inc();
+    telemetry::event(telemetry::Site::kCoalesceFallback);
     note_status_failure("service.process_batch", st);
     const Status* first_attempt = can_retry(st, 1) ? &st : nullptr;
     for (Request& r : live) process(std::move(r), first_attempt);
@@ -369,11 +338,8 @@ void Server::process_batch(std::vector<Request> reqs) {
   n_.coalesced_launches.fetch_add(1, std::memory_order_relaxed);
   n_.coalesced_members.fetch_add(static_cast<std::int64_t>(live.size()),
                                  std::memory_order_relaxed);
-  bump("service.coalesce.fused");
-  if (telemetry::counters_enabled())
-    telemetry::MetricsRegistry::global()
-        .histogram("service.coalesce.members", {2, 4, 8, 16, 32, 64, 128, 256})
-        .observe(static_cast<double>(live.size()));
+  telemetry::event(telemetry::Site::kCoalesceFused,
+                   {{"members", live.size()}});
   for (std::size_t i = 0; i < live.size(); ++i) {
     const Request& req = live[i];
     Response res;
@@ -386,7 +352,9 @@ void Server::process_batch(std::vector<Request> reqs) {
       if (it != pending_.end())
         res.queue_wait_us = dequeue_us - it->second.submit_us;
     }
-    observe("service.queue_wait_us", static_cast<double>(res.queue_wait_us));
+    telemetry::event(
+        telemetry::Site::kQueueWait,
+        {{"queue_wait_us", static_cast<double>(res.queue_wait_us)}});
     res.outcome = Outcome::kServed;
     res.status = Status::ok();
     res.output.assign(pairs[i].second.data(),
@@ -397,9 +365,10 @@ void Server::process_batch(std::vector<Request> reqs) {
     res.batch_members = static_cast<int>(live.size());
     res.attempts = 1;
     res.sim_time_s = runs[i].time_s;
-    observe("service.exec_us", runs[i].time_s * 1e6);
+    telemetry::event(telemetry::Site::kServiceExec,
+                     {{"exec_us", runs[i].time_s * 1e6}});
     n_.served.fetch_add(1, std::memory_order_relaxed);
-    bump("service.served");
+    telemetry::event(telemetry::Site::kServed);
     finish(req, std::move(res));
   }
   free_pairs();
@@ -414,7 +383,7 @@ std::shared_ptr<const Plan> Server::resolve_plan(const Request& req,
   const bool measured = cfg_.measured_planning && !pressured && !tight;
   if (cfg_.measured_planning && !measured) {
     n_.heuristic_forced.fetch_add(1, std::memory_order_relaxed);
-    bump("service.heuristic_forced");
+    telemetry::event(telemetry::Site::kHeuristicForced);
   }
   PlanBuilder builder = [measured](sim::Device& dev, const Shape& shape,
                                    const Permutation& perm,
@@ -455,8 +424,8 @@ Status Server::attempt_once(const Request& req, std::int64_t headroom_us,
         res.output = std::move(out);
         res.sharded = true;
         res.sim_time_s = run->makespan_s;
-        bump("service.sharded");
-        observe("service.exec_us", run->makespan_s * 1e6);
+        telemetry::event(telemetry::Site::kSharded,
+                         {{"exec_us", run->makespan_s * 1e6}});
       }
       return run.status();
     }
@@ -477,7 +446,8 @@ Status Server::attempt_once(const Request& req, std::int64_t headroom_us,
       res.output.assign(out.data(), out.data() + out.size());
       res.exec_path = plan->last_exec_path();
       res.sim_time_s = exec->time_s;
-      observe("service.exec_us", exec->time_s * 1e6);
+      telemetry::event(telemetry::Site::kServiceExec,
+                       {{"exec_us", exec->time_s * 1e6}});
     }
     dev_.try_free(in);
     dev_.try_free(out);
@@ -502,13 +472,14 @@ void Server::process(Request req, const Status* first_attempt) {
   res.id = req.id;
   res.tenant = req.tenant;
   res.queue_wait_us = dequeue_us - submit_us;
-  observe("service.queue_wait_us", static_cast<double>(res.queue_wait_us));
+  telemetry::event(telemetry::Site::kQueueWait,
+                   {{"queue_wait_us", static_cast<double>(res.queue_wait_us)}});
 
   // Dequeue-time deadline check: a request that died waiting must not
   // reach the planner.
   if (req.deadline_us != kNoDeadline && dequeue_us >= req.deadline_us) {
     n_.expired_queue.fetch_add(1, std::memory_order_relaxed);
-    bump("service.expired.queue");
+    telemetry::event(telemetry::Site::kExpiredQueue);
     res.outcome = Outcome::kExpired;
     res.status = Status::error(ErrorCode::kDeadlineExceeded,
                                "deadline expired while queued");
@@ -532,11 +503,11 @@ void Server::process(Request req, const Status* first_attempt) {
   auto classify = [&](const Status& st) {
     if (st.code() == ErrorCode::kDeadlineExceeded) {
       n_.expired_exec.fetch_add(1, std::memory_order_relaxed);
-      bump("service.expired.exec");
+      telemetry::event(telemetry::Site::kExpiredExec);
       res.outcome = Outcome::kExpired;
     } else {
       n_.failed.fetch_add(1, std::memory_order_relaxed);
-      bump("service.failed");
+      telemetry::event(telemetry::Site::kFailed);
       res.outcome = Outcome::kFailed;
       note_status_failure("service.process", st);
     }
@@ -553,7 +524,7 @@ void Server::process(Request req, const Status* first_attempt) {
                           : attempt_once(req, headroom_us, res);
     if (st.is_ok()) {
       n_.served.fetch_add(1, std::memory_order_relaxed);
-      bump("service.served");
+      telemetry::event(telemetry::Site::kServed);
       res.outcome = Outcome::kServed;
       res.status = Status::ok();
       break;
@@ -563,13 +534,10 @@ void Server::process(Request req, const Status* first_attempt) {
       break;
     }
     n_.retries.fetch_add(1, std::memory_order_relaxed);
-    bump("service.retries");
-    if (telemetry::log_site_enabled(telemetry::LogLevel::kInfo)) {
-      telemetry::LogEvent ev(telemetry::LogLevel::kInfo, "service", "retry");
-      ev.field("id", static_cast<double>(req.id))
-          .field("attempt", static_cast<double>(attempt))
-          .field("status", st.to_string());
-    }
+    telemetry::event(telemetry::Site::kRetry,
+                     {{"id", static_cast<double>(req.id)},
+                      {"attempt", static_cast<double>(attempt)},
+                      {"status", st.to_string()}});
     clock_.sleep_us(backoff_us(cfg_.backoff, req.id, attempt));
     if (check()) {
       classify(Status::error(ErrorCode::kDeadlineExceeded,

@@ -171,8 +171,9 @@ class Server {
   /// re-processes every member individually (classified per-request
   /// partial-failure semantics).
   void process_batch(std::vector<Request> reqs);
-  Response reject(const Request& req, Outcome outcome, Status st,
-                  std::int64_t submit_us);
+  /// An admission rejection, already resolved.
+  std::future<Response> reject(const Request& req, Outcome outcome,
+                               Status st, std::int64_t submit_us);
   void finish(const Request& req, Response res);
   std::shared_ptr<const Plan> resolve_plan(const Request& req,
                                            std::int64_t headroom_us,

@@ -5,7 +5,7 @@
 
 #include "gpusim/texture_cache.hpp"
 #include "gpusim/timing_model.hpp"
-#include "telemetry/log.hpp"
+#include "telemetry/event.hpp"
 
 namespace ttlg::shard {
 
@@ -109,27 +109,15 @@ void ShardedExecutor::finalize(ShardedResult& res,
     res.exec_s = std::max(res.exec_s, dl.exec_s);
   }
 
-  if (telemetry::counters_enabled()) {
-    auto& reg = telemetry::MetricsRegistry::global();
-    reg.counter("shard.runs").inc();
-    reg.counter("shard.shards").inc(
-        static_cast<std::int64_t>(res.shards.size()));
-    reg.counter("shard.transfer_bytes").inc(res.transfer_bytes);
-    reg.gauge("shard.makespan_s").set(res.makespan_s);
-  }
-  if (telemetry::log_site_enabled(telemetry::LogLevel::kInfo)) {
-    telemetry::LogEvent ev(telemetry::LogLevel::kInfo, "shard", "run");
-    ev.field("schema", to_string(res.schema))
-        .field("policy", to_string(res.policy))
-        .field("shards", static_cast<std::int64_t>(res.shards.size()))
-        .field("devices", static_cast<std::int64_t>(load.size()))
-        .field("axis_out_pos", res.axis_out_pos)
-        .field("counters_exact", res.counters_exact)
-        .field("makespan_us", res.makespan_s * 1e6);
-    ev.detail(std::string(to_string(res.schema)) + " x" +
-              std::to_string(res.shards.size()) + " shards on " +
-              std::to_string(load.size()) + " devices");
-  }
+  telemetry::event(telemetry::Site::kShardRunDone,
+                   {{"schema", to_string(res.schema)},
+                    {"policy", to_string(res.policy)},
+                    {"shards", res.shards.size()}, {"devices", load.size()},
+                    {"axis_out_pos", res.axis_out_pos},
+                    {"counters_exact", res.counters_exact},
+                    {"makespan_us", res.makespan_s * 1e6},
+                    {"transfer_bytes", res.transfer_bytes},
+                    {"makespan_s", res.makespan_s}});
 }
 
 }  // namespace ttlg::shard

@@ -39,8 +39,7 @@
 #include "shard/fleet.hpp"
 #include "shard/shard_counters.hpp"
 #include "shard/shard_split.hpp"
-#include "telemetry/metrics.hpp"
-#include "telemetry/telemetry.hpp"
+#include "telemetry/event.hpp"
 #include "telemetry/trace.hpp"
 
 namespace ttlg::shard {
@@ -213,7 +212,7 @@ ShardedResult ShardedExecutor::run_impl(const Shape& shape,
   // One run owns the fleet: devices' execution modes and allocation
   // sequences must not interleave with another run's.
   std::lock_guard<std::mutex> lk(fleet_.run_mutex());
-  telemetry::TraceSpan span("shard.run", "shard");
+  const telemetry::Stage stage(telemetry::Site::kShardRun);
   const TransposeProblem problem =
       TransposeProblem::make(shape, perm, static_cast<int>(sizeof(T)));
   FleetModeGuard guard(fleet_,
@@ -359,14 +358,12 @@ ShardedResult ShardedExecutor::run_uniform(const TransposeProblem& problem,
           states.push_back(std::move(retry));
           st_j = Status::ok();
           any_failover = true;
-          telemetry::MetricsRegistry::global()
-              .counter("shard.failovers")
-              .inc();
+          telemetry::event(telemetry::Site::kShardFailover);
         }
       }
     }
     if (!st_j.is_ok()) {
-      telemetry::MetricsRegistry::global().counter("shard.failures").inc();
+      telemetry::event(telemetry::Site::kShardFailure);
       st_j.raise_if_error();  // classified; caller's output untouched
     }
   }
@@ -534,14 +531,12 @@ ShardedResult ShardedExecutor::run_per_device(const TransposeProblem& problem,
           st = Status::ok();
           s.device = k;
           s.failed_over = true;
-          telemetry::MetricsRegistry::global()
-              .counter("shard.failovers")
-              .inc();
+          telemetry::event(telemetry::Site::kShardFailover);
         }
       }
     }
     if (!st.is_ok()) {
-      telemetry::MetricsRegistry::global().counter("shard.failures").inc();
+      telemetry::event(telemetry::Site::kShardFailure);
       st.raise_if_error();
     }
   }

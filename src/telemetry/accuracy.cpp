@@ -8,10 +8,12 @@
 
 namespace ttlg::telemetry {
 
-void ModelAccuracy::record(const std::string& key, double predicted_s,
+void ModelAccuracy::record(std::string_view key, double predicted_s,
                            double measured_s) {
   std::lock_guard<std::mutex> lock(mu_);
-  Acc& a = acc_[key];
+  auto it = acc_.find(key);
+  if (it == acc_.end()) it = acc_.try_emplace(std::string(key)).first;
+  Acc& a = it->second;
   ++a.n;
   a.sum_pred_s += predicted_s;
   a.sum_meas_s += measured_s;

@@ -1,6 +1,7 @@
 // Predicted-vs-measured residual tracking: every plan execution (and
 // TTGT contraction) records the §V model's predicted time next to the
-// simulator-measured time, keyed by schema. The aggregate report is the
+// simulator-measured time, keyed by schema — fed by the catalogue's
+// model_accuracy/<schema> entries (event.hpp). The aggregate report is the
 // runtime counterpart of the paper's Table II model-fit validation and
 // the primary tool for debugging model mispredictions.
 #pragma once
@@ -9,6 +10,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 #include "telemetry/json.hpp"
 
@@ -19,7 +21,7 @@ class ModelAccuracy {
   /// Record one observation under `key` (typically the schema name).
   /// Relative error is (predicted - measured) / measured; observations
   /// with measured <= 0 are counted but excluded from the ratios.
-  void record(const std::string& key, double predicted_s, double measured_s);
+  void record(std::string_view key, double predicted_s, double measured_s);
 
   std::int64_t observations(const std::string& key) const;
   bool empty() const;
@@ -47,7 +49,7 @@ class ModelAccuracy {
   void fold(Acc& into, const Acc& a) const;
 
   mutable std::mutex mu_;
-  std::map<std::string, Acc> acc_;
+  std::map<std::string, Acc, std::less<>> acc_;
 };
 
 }  // namespace ttlg::telemetry

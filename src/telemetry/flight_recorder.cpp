@@ -8,7 +8,7 @@
 
 #include <unistd.h>
 
-#include "telemetry/metrics.hpp"
+#include "telemetry/event.hpp"
 #include "telemetry/trace.hpp"
 
 namespace ttlg::telemetry {
@@ -16,9 +16,10 @@ namespace {
 
 /// Truncating copy into a fixed-size entry field.
 template <std::size_t N>
-void copy_field(char (&dst)[N], const char* src) {
-  std::strncpy(dst, src ? src : "", N - 1);
-  dst[N - 1] = '\0';
+void copy_field(char (&dst)[N], std::string_view src) {
+  const std::size_t n = std::min(src.size(), N - 1);
+  std::memcpy(dst, src.data(), n);
+  dst[n] = '\0';
 }
 
 std::size_t env_size(const char* name, std::size_t def) {
@@ -90,8 +91,8 @@ FlightRecorder::Ring& FlightRecorder::ring_for_this_thread() {
   return *raw;
 }
 
-void FlightRecorder::note(LogLevel level, const char* component,
-                          const char* event, const std::string& detail) {
+void FlightRecorder::note(LogLevel level, std::string_view component,
+                          std::string_view event, std::string_view detail) {
   Ring& ring = ring_for_this_thread();
   FlightEntry e;
   e.ts_us = TraceCollector::global().now_us();
@@ -100,7 +101,7 @@ void FlightRecorder::note(LogLevel level, const char* component,
   e.level = level;
   copy_field(e.component, component);
   copy_field(e.event, event);
-  copy_field(e.detail, detail.c_str());
+  copy_field(e.detail, detail);
   // The ring mutex is only ever contended by a dumper; the owning
   // thread is the sole writer.
   std::lock_guard<std::mutex> lock(ring.mu);
@@ -178,8 +179,9 @@ void FlightRecorder::set_dump_dir(std::string dir) {
 std::string FlightRecorder::dump_on_error(const char* site, ErrorCode code,
                                           const std::string& message) {
   if (!recorder_enabled()) return "";
-  note(LogLevel::kError, "flight", "trigger",
-       std::string(ttlg::to_string(code)) + " at " + site + ": " + message);
+  event(Site::kFlightTrigger, {{"code", ttlg::to_string(code)},
+                               {"site", site},
+                               {"message", message}});
   std::string path;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -201,8 +203,7 @@ std::string FlightRecorder::dump_on_error(const char* site, ErrorCode code,
   }
   to_json().dump(out, 2);
   out << '\n';
-  // Rare path: mirrored unconditionally, like the robustness counters.
-  MetricsRegistry::global().counter("flight.dumps").inc();
+  event(Site::kFlightDump);
   return out.good() ? path : "";
 }
 

@@ -14,10 +14,11 @@
 //    and a dumper ever touch — effectively uncontended;
 //  - the master switch is one relaxed atomic (recorder_enabled() in
 //    log.hpp), initialized from TTLG_FLIGHT_RECORDER (default on;
-//    "0"/"off" disables). Disabled sites do no work at all.
+//    "0"/"off" disables).
 //
-// Feeding the recorder: every telemetry::LogEvent mirrors itself into
-// the ring automatically; note() is the low-level entry point.
+// Feeding the recorder: telemetry::event writes every catalogued log
+// and note event into the ring, its fields formatted into the fixed
+// detail buffer; note() is the low-level entry point.
 //
 // Auto-dumps are written only when a dump directory is configured
 // (TTLG_FLIGHT_DUMP_DIR or set_dump_dir) — a library must not scribble
@@ -30,6 +31,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.hpp"
@@ -62,9 +64,9 @@ class FlightRecorder {
   void set_ring_capacity(std::size_t entries);
 
   /// Append an entry to the calling thread's ring. Callers gate on
-  /// recorder_enabled() themselves (LogEvent already does).
-  void note(LogLevel level, const char* component, const char* event,
-            const std::string& detail);
+  /// recorder_enabled() themselves (telemetry::event does).
+  void note(LogLevel level, std::string_view component,
+            std::string_view event, std::string_view detail);
 
   /// Snapshot of all retained entries, globally ordered oldest-first.
   std::vector<FlightEntry> entries() const;
@@ -104,8 +106,6 @@ class FlightRecorder {
 
   FlightRecorder();
   Ring& ring_for_this_thread();
-  void append_locked_entry(LogLevel level, const char* component,
-                           const char* event, const char* detail);
   Json trigger_json_locked() const;
 
   mutable std::mutex mu_;  ///< guards rings_ registry + trigger/dump state

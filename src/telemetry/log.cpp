@@ -5,7 +5,6 @@
 #include <fstream>
 #include <mutex>
 
-#include "telemetry/flight_recorder.hpp"
 #include "telemetry/trace.hpp"
 
 namespace ttlg::telemetry {
@@ -103,41 +102,22 @@ void set_log_sink(std::function<void(const std::string&)> new_sink) {
   s.fn = std::move(new_sink);
 }
 
-LogEvent::LogEvent(LogLevel lv, const char* component, const char* event)
-    : lv_(lv),
-      component_(component),
-      event_(event),
-      // Log/trace/recorder timestamps share the trace collector's epoch
-      // so the three streams line up in a post-mortem.
-      ts_us_(TraceCollector::global().now_us()) {}
+namespace detail {
 
-LogEvent& LogEvent::field(const char* key, Json value) {
-  fields_[key] = std::move(value);
-  return *this;
-}
-
-LogEvent& LogEvent::detail(std::string text) {
-  detail_ = std::move(text);
-  return *this;
-}
-
-LogEvent::~LogEvent() {
-  if (recorder_enabled()) {
-    FlightRecorder::global().note(
-        lv_, component_, event_,
-        detail_.empty() ? (fields_.is_null() ? std::string()
-                                             : fields_.dump())
-                        : detail_);
-  }
-  if (!log_enabled(lv_)) return;
+void write_log(LogLevel lv, std::string_view component,
+               std::string_view event, Json fields) {
   Json rec = Json::object();
-  rec["ts_us"] = ts_us_;
-  rec["level"] = to_string(lv_);
+  // Log, trace and recorder timestamps share the trace collector's
+  // epoch so the three streams line up in a post-mortem.
+  rec["ts_us"] = TraceCollector::global().now_us();
+  rec["level"] = to_string(lv);
   rec["tid"] = static_cast<std::int64_t>(this_thread_id());
-  rec["component"] = component_;
-  rec["event"] = event_;
-  if (!fields_.is_null()) rec["fields"] = std::move(fields_);
+  rec["component"] = std::string(component);
+  rec["event"] = std::string(event);
+  if (!fields.is_null()) rec["fields"] = std::move(fields);
   sink().write(rec.dump());
 }
+
+}  // namespace detail
 
 }  // namespace ttlg::telemetry

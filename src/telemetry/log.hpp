@@ -6,12 +6,10 @@
 //
 // The level gate is one relaxed atomic load, initialized from the
 // TTLG_LOG_LEVEL environment variable (debug|info|warn|error|off,
-// default off). Instrumentation sites gate ALL work — including the
-// construction of the LogEvent and its fields — on log_site_enabled(),
-// which also admits the flight recorder: every emitted event is mirrored
-// into the per-thread flight-recorder ring (flight_recorder.hpp) so a
-// post-mortem dump carries the same attributable history even when no
-// log sink is being watched.
+// default off). Records come only from telemetry::event (event.hpp):
+// the catalogue gives each log event its component and level, and the
+// same event is mirrored into the per-thread flight-recorder ring
+// (flight_recorder.hpp) whether or not the log sink takes it.
 //
 // Record shape (one compact JSON document per line):
 //   {"ts_us":1234.5,"level":"warn","tid":3,"component":"robustness",
@@ -23,6 +21,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "telemetry/json.hpp"
 
@@ -44,9 +43,12 @@ namespace detail {
 /// Backing store; initialized from TTLG_LOG_LEVEL on first use.
 std::atomic<int>& log_level_ref();
 /// Flight-recorder master switch (defined in flight_recorder.cpp,
-/// initialized from TTLG_FLIGHT_RECORDER; default on). Lives here so
-/// log_site_enabled() stays a two-atomic-load inline.
+/// initialized from TTLG_FLIGHT_RECORDER; default on).
 std::atomic<bool>& recorder_enabled_ref();
+/// Serialize one record and hand it to the sink (telemetry::event's log
+/// sink). A null `fields` omits the "fields" key.
+void write_log(LogLevel lv, std::string_view component,
+               std::string_view event, Json fields);
 }  // namespace detail
 
 inline LogLevel log_level() {
@@ -58,12 +60,6 @@ inline bool log_enabled(LogLevel lv) {
 }
 inline bool recorder_enabled() {
   return detail::recorder_enabled_ref().load(std::memory_order_relaxed);
-}
-/// The gate instrumentation sites use: true when the record would reach
-/// the log sink OR the flight-recorder ring. False = the site must do
-/// no work at all (no allocation, no locking).
-inline bool log_site_enabled(LogLevel lv) {
-  return log_enabled(lv) || recorder_enabled();
 }
 
 void set_log_level(LogLevel lv);
@@ -93,35 +89,5 @@ std::uint32_t this_thread_id();
 /// with one complete serialized record (no trailing newline) under an
 /// internal mutex, so it need not be thread-safe itself.
 void set_log_sink(std::function<void(const std::string&)> sink);
-
-/// One structured record, emitted on destruction. Construct only behind
-/// log_site_enabled(level) — the constructor itself does not re-check,
-/// so an ungated LogEvent always emits.
-///
-///   if (telemetry::log_site_enabled(telemetry::LogLevel::kWarn)) {
-///     telemetry::LogEvent ev(telemetry::LogLevel::kWarn, "robustness",
-///                            "fallback");
-///     ev.field("stage", stage).field("to", to);
-///   }
-class LogEvent {
- public:
-  LogEvent(LogLevel lv, const char* component, const char* event);
-  ~LogEvent();
-  LogEvent(const LogEvent&) = delete;
-  LogEvent& operator=(const LogEvent&) = delete;
-
-  LogEvent& field(const char* key, Json value);
-  /// Short human-readable summary stored in the flight-recorder ring
-  /// entry (falls back to a compact dump of the fields when unset).
-  LogEvent& detail(std::string text);
-
- private:
-  LogLevel lv_;
-  const char* component_;
-  const char* event_;
-  double ts_us_;
-  Json fields_;
-  std::string detail_;
-};
 
 }  // namespace ttlg::telemetry

@@ -72,25 +72,33 @@ double Histogram::quantile(double q) const {
   return histogram_quantile(bounds_, bucket_counts(), q);
 }
 
-Counter& MetricsRegistry::counter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return counters_[name];
+namespace {
+
+template <class Map>
+typename Map::mapped_type& find_or_add(Map& map, std::string_view name) {
+  auto it = map.find(name);
+  if (it == map.end()) it = map.try_emplace(std::string(name)).first;
+  return it->second;
 }
 
-Gauge& MetricsRegistry::gauge(const std::string& name) {
+}  // namespace
+
+Counter& MetricsRegistry::counter(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
-  return gauges_[name];
+  return find_or_add(counters_, name);
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name,
+Gauge& MetricsRegistry::gauge(std::string_view name) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return find_or_add(gauges_, name);
+}
+
+Histogram& MetricsRegistry::histogram(std::string_view name,
                                       std::vector<double> bounds) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end())
-    it = histograms_
-             .emplace(name, std::make_unique<Histogram>(std::move(bounds)))
-             .first;
-  return *it->second;
+  auto& h = find_or_add(histograms_, name);
+  if (!h) h = std::make_unique<Histogram>(std::move(bounds));
+  return *h;
 }
 
 std::int64_t MetricsRegistry::counter_value(const std::string& name) const {
@@ -105,15 +113,6 @@ double MetricsRegistry::gauge_value(const std::string& name) const {
   return it == gauges_.end() ? 0.0 : it->second.value();
 }
 
-std::vector<std::string> MetricsRegistry::counter_names(
-    const std::string& prefix) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> names;
-  for (const auto& [name, c] : counters_)
-    if (name.compare(0, prefix.size(), prefix) == 0) names.push_back(name);
-  return names;
-}
-
 bool MetricsRegistry::empty() const {
   std::lock_guard<std::mutex> lock(mu_);
   return counters_.empty() && gauges_.empty() && histograms_.empty();
@@ -125,16 +124,6 @@ void MetricsRegistry::clear() {
   gauges_.clear();
   histograms_.clear();
   generation_.fetch_add(1, std::memory_order_acq_rel);
-}
-
-Counter& CounterRef::get() {
-  const std::uint64_t g = reg_.generation();
-  if (gen_.load(std::memory_order_acquire) == g)
-    return *c_.load(std::memory_order_relaxed);
-  Counter* c = &reg_.counter(name_);
-  c_.store(c, std::memory_order_relaxed);
-  gen_.store(g, std::memory_order_release);
-  return *c;
 }
 
 Json MetricsRegistry::to_json() const {

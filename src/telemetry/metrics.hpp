@@ -5,7 +5,9 @@
 // aggregation (sim::Profiler) own a private registry instead.
 //
 // Handles returned by counter()/gauge()/histogram() stay valid until
-// clear() — the registries are node-based maps.
+// clear() — the registries are node-based maps. Library sites do not
+// call the registry directly: telemetry::event resolves each catalogued
+// metric once and keeps the handle until the next clear().
 //
 // Thread safety: Counter, Gauge and Histogram updates are lock-free
 // atomics, so handles may be used from any thread concurrently (the
@@ -20,6 +22,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "telemetry/json.hpp"
@@ -90,24 +93,22 @@ class Histogram {
 
 class MetricsRegistry {
  public:
-  Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
+  /// Lookups allocate only when they create the metric.
+  Counter& counter(std::string_view name);
+  Gauge& gauge(std::string_view name);
   /// `bounds` applies on first creation only; later calls fetch.
-  Histogram& histogram(const std::string& name,
+  Histogram& histogram(std::string_view name,
                        std::vector<double> bounds = {});
 
   /// Value lookups that do NOT create the metric; 0 when absent.
   std::int64_t counter_value(const std::string& name) const;
   double gauge_value(const std::string& name) const;
 
-  /// Counter names carrying the given prefix (sorted).
-  std::vector<std::string> counter_names(const std::string& prefix = "") const;
-
   bool empty() const;
   /// Drops every metric; handles obtained before are invalid afterwards.
   void clear();
-  /// Bumped by every clear(), so cached handles (CounterRef) can tell
-  /// that they must be resolved again.
+  /// Bumped by every clear(), so cached handles (the catalogue's) can
+  /// tell that they must be resolved again.
   std::uint64_t generation() const {
     return generation_.load(std::memory_order_acquire);
   }
@@ -123,33 +124,12 @@ class MetricsRegistry {
 
  private:
   mutable std::mutex mu_;
-  std::map<std::string, Counter> counters_;
-  std::map<std::string, Gauge> gauges_;
+  std::map<std::string, Counter, std::less<>> counters_;
+  std::map<std::string, Gauge, std::less<>> gauges_;
   // unique_ptr: Histogram owns atomics and cannot be moved into a map
   // node; the indirection also keeps handle stability explicit.
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
   std::atomic<std::uint64_t> generation_{1};
-};
-
-/// A counter handle resolved once and then reused, for always-on call
-/// sites that would otherwise build the metric name and take the
-/// registry mutex on every event. Lock-free after the first use; it
-/// resolves again only after the registry was cleared. Like every
-/// handle, it must not be used concurrently with clear().
-class CounterRef {
- public:
-  CounterRef(MetricsRegistry& reg, std::string name)
-      : reg_(reg), name_(std::move(name)) {}
-
-  Counter& get();
-  void inc(std::int64_t d = 1) { get().inc(d); }
-
- private:
-  MetricsRegistry& reg_;
-  std::string name_;
-  std::atomic<Counter*> c_{nullptr};
-  /// Registry generation c_ was resolved in (0: not yet resolved).
-  std::atomic<std::uint64_t> gen_{0};
 };
 
 }  // namespace ttlg::telemetry

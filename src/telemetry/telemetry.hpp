@@ -3,9 +3,9 @@
 // The level is initialized once from the TTLG_TELEMETRY environment
 // variable and can be overridden programmatically (set_level) or for a
 // lexical scope (ScopedLevel — what the PlanOptions::telemetry override
-// uses). Instrumentation sites are expected to gate ALL work on
-// counters_enabled()/trace_enabled() so that the off path costs exactly
-// one relaxed atomic load and a branch.
+// uses). Library sites never read it themselves: telemetry::event
+// (event.hpp) checks it for each catalogued sink, so a site whose sinks
+// are all off costs a few relaxed loads and branches and no allocation.
 #pragma once
 
 #include <atomic>

@@ -5,7 +5,7 @@
 #include <fstream>
 
 #include "telemetry/log.hpp"
-#include "telemetry/metrics.hpp"
+#include "telemetry/event.hpp"
 
 namespace ttlg::telemetry {
 namespace {
@@ -51,8 +51,7 @@ double TraceCollector::now_us() const {
 bool TraceCollector::has_room_locked() {
   if (events_.size() < capacity_) return true;
   ++dropped_;
-  // Rare overflow path; the registry lookup cost does not matter here.
-  MetricsRegistry::global().counter("trace.dropped_events").inc();
+  event(Site::kTraceDropped);
   return false;
 }
 
@@ -161,42 +160,6 @@ bool TraceCollector::write_file(const std::string& path) const {
 TraceCollector& TraceCollector::global() {
   static TraceCollector collector;
   return collector;
-}
-
-TraceSpan::TraceSpan(const char* name, const char* cat) {
-  if (!trace_enabled()) return;
-  active_ = true;
-  name_ = name;
-  cat_ = cat;
-  TraceCollector& tc = TraceCollector::global();
-  depth_ = tc.enter_span();
-  start_us_ = tc.now_us();
-}
-
-TraceSpan::~TraceSpan() {
-  if (!active_) return;
-  TraceCollector& tc = TraceCollector::global();
-  TraceEvent ev;
-  ev.name = name_;
-  ev.cat = cat_;
-  ev.ph = 'X';
-  ev.ts_us = start_us_;
-  ev.dur_us = tc.now_us() - start_us_;
-  ev.depth = depth_;
-  ev.tid = this_thread_id();
-  ev.args = std::move(args_);
-  tc.exit_span();
-  tc.add(std::move(ev));
-}
-
-void TraceSpan::arg(const std::string& key, Json value) {
-  if (!active_) return;
-  args_[key] = std::move(value);
-}
-
-void TraceSpan::instant(std::string name, Json args) {
-  if (!active_) return;
-  TraceCollector::global().instant(std::move(name), cat_, std::move(args));
 }
 
 }  // namespace ttlg::telemetry

@@ -1,17 +1,12 @@
 // Chrome-tracing event stream (chrome://tracing / Perfetto "Trace Event
-// Format", JSON array flavour). TraceSpan is the RAII instrumentation
-// primitive: construction samples the wall clock, destruction appends a
-// complete ('X') event carrying whatever args the span accumulated.
-// Spans nest lexically *per thread*; nesting is reconstructed by the
-// viewer from [ts, ts+dur] containment within a thread lane and
-// recorded explicitly as a `depth` arg. Every event carries the
-// emitting thread's id (this_thread_id()), so worker-pool spans render
-// as separate Perfetto lanes instead of one interleaved mess.
-//
-// All span work is gated on trace_enabled() at construction: with the
-// trace level off a span is a bool check and nothing else. Span names
-// and categories are const char* (string literals at every call site),
-// so an inactive span performs no allocation either.
+// Format", JSON array flavour). Library sites feed it through the
+// catalogue (event.hpp): a telemetry::Stage appends a complete ('X')
+// event carrying the fields its site emitted as args, and catalogued
+// instants append 'i' events. Stages nest lexically *per thread*;
+// nesting is reconstructed by the viewer from [ts, ts+dur] containment
+// within a thread lane and recorded explicitly as a `depth` arg. Every
+// event carries the emitting thread's id (this_thread_id()), so
+// worker-pool stages render as separate Perfetto lanes.
 //
 // The collector retains at most capacity() events (default 65536, or
 // TTLG_TRACE_CAPACITY) so a long-running process cannot grow without
@@ -25,7 +20,6 @@
 #include <vector>
 
 #include "telemetry/json.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace ttlg::telemetry {
 
@@ -71,7 +65,7 @@ class TraceCollector {
   /// Events dropped by this collector since construction/clear().
   std::int64_t dropped() const;
 
-  // Span-depth bookkeeping (used by TraceSpan). Depth is tracked
+  // Span-depth bookkeeping (used by telemetry::Stage). Depth is tracked
   // per thread: concurrent spans on worker threads do not perturb each
   // other. A thread's depth follows whichever collector it touched
   // last — interleaving spans of two collectors on one thread is not
@@ -88,31 +82,6 @@ class TraceCollector {
   double epoch_s_ = 0;
   std::size_t capacity_;
   std::int64_t dropped_ = 0;
-};
-
-class TraceSpan {
- public:
-  /// Active (and timed) only when trace_enabled() at construction.
-  /// `name`/`cat` must outlive the span — in practice they are string
-  /// literals, which keeps a disabled span allocation-free.
-  explicit TraceSpan(const char* name, const char* cat = "ttlg");
-  ~TraceSpan();
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
-  bool active() const { return active_; }
-  /// Attach an argument to the span's event; no-op when inactive.
-  void arg(const std::string& key, Json value);
-  /// Emit an instant event nested under this span; no-op when inactive.
-  void instant(std::string name, Json args = Json());
-
- private:
-  bool active_ = false;
-  double start_us_ = 0;
-  int depth_ = 0;
-  const char* name_ = nullptr;
-  const char* cat_ = nullptr;
-  Json args_;
 };
 
 }  // namespace ttlg::telemetry

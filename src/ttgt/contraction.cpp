@@ -6,9 +6,7 @@
 #include <sstream>
 
 #include "tensor/fusion.hpp"
-#include "telemetry/accuracy.hpp"
-#include "telemetry/metrics.hpp"
-#include "telemetry/trace.hpp"
+#include "telemetry/event.hpp"
 #include "ttgt/gemm_kernel.hpp"
 
 namespace ttlg::ttgt {
@@ -156,7 +154,7 @@ TtgtPlan plan_ttgt(const sim::DeviceProperties& props,
     }
   }
 
-  telemetry::TraceSpan span("ttgt.plan", "ttgt");
+  telemetry::Stage stage(telemetry::Site::kTtgtPlan);
   TtgtPlan plan;
   plan.spec = spec;
   plan.a_shape = a_shape;
@@ -165,13 +163,6 @@ TtgtPlan plan_ttgt(const sim::DeviceProperties& props,
   plan.m = extent_product(spec.free_a, extents);
   plan.n = extent_product(spec.free_b, extents);
   plan.k = extent_product(spec.contracted, extents);
-  if (span.active()) {
-    span.arg("spec",
-             spec.a_indices + "," + spec.b_indices + "->" + spec.c_indices);
-    span.arg("m", plan.m);
-    span.arg("n", plan.n);
-    span.arg("k", plan.k);
-  }
 
   // Candidate index orders for the three fused GEMM groups. Taking each
   // group either in its source-operand order (cheap operand transpose)
@@ -236,14 +227,11 @@ TtgtPlan plan_ttgt(const sim::DeviceProperties& props,
         add("transpose C", shape_of(mo + no, extents), c_perm);
 
         ++chains;
-        if (span.active()) {
-          telemetry::Json a = telemetry::Json::object();
-          a["a_perm"] = a_perm.to_string();
-          a["b_perm"] = b_perm.to_string();
-          a["c_perm"] = c_perm.to_string();
-          a["predicted_total_us"] = total * 1e6;
-          span.instant("ttgt_chain", std::move(a));
-        }
+        telemetry::event(telemetry::Site::kTtgtChain,
+                         {{"a_perm", a_perm.to_string()},
+                          {"b_perm", b_perm.to_string()},
+                          {"c_perm", c_perm.to_string()},
+                          {"predicted_total_us", total * 1e6}});
         if (best < 0 || total < best) {
           best = total;
           plan.a_perm = a_perm;
@@ -255,15 +243,13 @@ TtgtPlan plan_ttgt(const sim::DeviceProperties& props,
       }
     }
   }
-  if (telemetry::counters_enabled()) {
-    auto& reg = telemetry::MetricsRegistry::global();
-    reg.counter("ttgt.plans").inc();
-    reg.counter("ttgt.chains_evaluated").inc(chains);
-  }
-  if (span.active()) {
-    span.arg("chains_evaluated", chains);
-    span.arg("predicted_total_us", plan.predicted_total_s * 1e6);
-  }
+  stage.emit({{"spec", spec.a_indices + "," + spec.b_indices + "->" +
+                          spec.c_indices},
+              {"m", plan.m},
+              {"n", plan.n},
+              {"k", plan.k},
+              {"chains_evaluated", chains},
+              {"predicted_total_us", plan.predicted_total_s * 1e6}});
   return plan;
 }
 
@@ -271,7 +257,7 @@ TtgtResult execute_ttgt(sim::Device& dev, const TtgtPlan& plan,
                         const Tensor<double>& a, const Tensor<double>& b) {
   TTLG_CHECK(a.shape() == plan.a_shape && b.shape() == plan.b_shape,
              "operand shapes do not match the plan");
-  telemetry::TraceSpan span("ttgt.execute", "ttgt");
+  telemetry::Stage traced(telemetry::Site::kTtgtExecute);
   TtgtResult res;
   res.c = Tensor<double>(plan.c_shape);
 
@@ -313,17 +299,11 @@ TtgtResult execute_ttgt(sim::Device& dev, const TtgtPlan& plan,
     dev.free(c_final);
   }
   res.total_s = res.transpose_s + res.gemm_s;
-  if (telemetry::counters_enabled()) {
-    telemetry::MetricsRegistry::global().counter("ttgt.executions").inc();
-    telemetry::ModelAccuracy::global().record("TTGT", plan.predicted_total_s,
-                                              res.total_s);
-  }
-  if (span.active()) {
-    span.arg("transpose_us", res.transpose_s * 1e6);
-    span.arg("gemm_us", res.gemm_s * 1e6);
-    span.arg("total_us", res.total_s * 1e6);
-    span.arg("predicted_total_us", plan.predicted_total_s * 1e6);
-  }
+  traced.emit({{"transpose_us", res.transpose_s * 1e6},
+               {"gemm_us", res.gemm_s * 1e6}, {"total_us", res.total_s * 1e6},
+               {"predicted_total_us", plan.predicted_total_s * 1e6},
+               {"predicted_s", plan.predicted_total_s},
+               {"measured_s", res.total_s}});
   return res;
 }
 

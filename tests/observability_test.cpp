@@ -20,8 +20,11 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "core/ttlg.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/fault_injector.hpp"
+#include "telemetry/accuracy.hpp"
+#include "telemetry/event.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/log.hpp"
 #include "telemetry/metrics.hpp"
@@ -77,23 +80,23 @@ TEST(StructuredLog, RecordIsOneJsonDocumentWithStandardKeys) {
   telemetry::set_log_sink([&](const std::string& l) { lines.push_back(l); });
   {
     const telemetry::ScopedLogLevel lvl(telemetry::LogLevel::kDebug);
-    if (telemetry::log_site_enabled(telemetry::LogLevel::kInfo)) {
-      telemetry::LogEvent ev(telemetry::LogLevel::kInfo, "obs_test", "hello");
-      ev.field("answer", std::int64_t{42}).field("name", "transpose");
-      ev.detail("short human summary");
-    }
+    telemetry::event(telemetry::Site::kRetry, {{"id", std::int64_t{42}},
+                                               {"attempt", 2.5},
+                                               {"status", "transpose"}});
   }
   telemetry::set_log_sink(nullptr);
 
   ASSERT_EQ(lines.size(), 1u);
   const auto rec = telemetry::Json::parse(lines[0]);
   EXPECT_EQ(rec.at("level").as_str(), "info");
-  EXPECT_EQ(rec.at("component").as_str(), "obs_test");
-  EXPECT_EQ(rec.at("event").as_str(), "hello");
+  EXPECT_EQ(rec.at("component").as_str(), "service");
+  EXPECT_EQ(rec.at("event").as_str(), "retry");
   EXPECT_GE(rec.at("ts_us").as_double(), 0.0);
   EXPECT_GE(rec.at("tid").as_int(), 1);
-  EXPECT_EQ(rec.at("fields").at("answer").as_int(), 42);
-  EXPECT_EQ(rec.at("fields").at("name").as_str(), "transpose");
+  EXPECT_EQ(rec.at("fields").at("id").as_int(), 42);
+  EXPECT_DOUBLE_EQ(rec.at("fields").at("attempt").as_double(), 2.5);
+  EXPECT_EQ(rec.at("fields").at("status").as_str(), "transpose");
+  EXPECT_EQ(rec.items().size(), 6u);  // ts_us level tid component event fields
 }
 
 TEST(StructuredLog, LevelGateFiltersTheSink) {
@@ -101,13 +104,35 @@ TEST(StructuredLog, LevelGateFiltersTheSink) {
   telemetry::set_log_sink([&](const std::string& l) { lines.push_back(l); });
   {
     const telemetry::ScopedLogLevel lvl(telemetry::LogLevel::kWarn);
-    { telemetry::LogEvent ev(telemetry::LogLevel::kDebug, "obs_test", "quiet"); }
-    { telemetry::LogEvent ev(telemetry::LogLevel::kError, "obs_test", "loud"); }
+    telemetry::event(telemetry::Site::kCacheEvict, {{"size", 1}});  // debug
+    telemetry::event(telemetry::Site::kStatusError,                 // error
+                     {{"site", "obs_test"}, {"code", "Internal"}});
   }
   telemetry::set_log_sink(nullptr);
 
   ASSERT_EQ(lines.size(), 1u);
-  EXPECT_NE(lines[0].find("\"loud\""), std::string::npos);
+  EXPECT_NE(lines[0].find("\"status.error\""), std::string::npos);
+}
+
+TEST(StructuredLog, KeyListsFilterTheRecord) {
+  // The sim/launch record takes four of the launch's fields; the rest
+  // feed the registry and the trace only.
+  std::vector<std::string> lines;
+  telemetry::set_log_sink([&](const std::string& l) { lines.push_back(l); });
+  {
+    const telemetry::ScopedLogLevel lvl(telemetry::LogLevel::kDebug);
+    telemetry::event(telemetry::Site::kLaunch,
+                     {{"kernel", "k"}, {"grid_blocks", 8},
+                      {"block_threads", 256}, {"simulated_us", 1.5},
+                      {"payload_bytes", 4096}, {"time_s", 1.5e-6}});
+  }
+  telemetry::set_log_sink(nullptr);
+
+  ASSERT_EQ(lines.size(), 1u);
+  const auto fields = telemetry::Json::parse(lines[0]).at("fields");
+  EXPECT_EQ(fields.size(), 4u);
+  EXPECT_EQ(fields.at("kernel").as_str(), "k");
+  EXPECT_FALSE(fields.contains("payload_bytes"));
 }
 
 TEST(StructuredLog, ParseLogLevelRoundTrips) {
@@ -128,6 +153,25 @@ TEST(ThreadIds, StableWithinAndDistinctAcrossThreads) {
   EXPECT_NE(other, main_id);
 }
 
+/// One launch-shaped event, as Device::emit_launch fires it.
+void launch_event(int i) {
+  telemetry::Stage stage(telemetry::Site::kLaunch);
+  stage.emit({{"kernel", "orthogonal_distinct"}, {"gld_transactions", i},
+              {"gst_transactions", i}, {"smem_bank_conflicts", 0},
+              {"grid_blocks", 64}, {"block_threads", 256},
+              {"payload_bytes", 1 << 20}, {"dram_transactions", 2 * i},
+              {"simulated_time_us", 12.5}, {"occupancy", 0.75},
+              {"mode", "count_only"}, {"simulated_us", 12.5},
+              {"time_s", 12.5e-6}});
+}
+
+/// One execution-shaped event, as Plan::execute fires it.
+void execution_event() {
+  telemetry::event(telemetry::Site::kPlanExecution,
+                   {{"exec_us", 12.5}, {"schema", "Orthogonal-Distinct"},
+                    {"predicted_s", 1.2e-5}, {"measured_s", 1.25e-5}});
+}
+
 TEST(ZeroOverhead, DisabledTelemetrySitesAllocateNothing) {
   const telemetry::ScopedLevel off(telemetry::Level::kOff);
   const telemetry::ScopedLogLevel log_off(telemetry::LogLevel::kOff);
@@ -138,20 +182,50 @@ TEST(ZeroOverhead, DisabledTelemetrySitesAllocateNothing) {
   g_allocs.store(0, std::memory_order_relaxed);
   g_count_allocs.store(true, std::memory_order_relaxed);
   for (int i = 0; i < 1000; ++i) {
-    // The exact instrumentation-site pattern used across the library:
-    // every piece of work is behind the site gate.
-    if (telemetry::log_site_enabled(telemetry::LogLevel::kWarn)) {
-      telemetry::LogEvent ev(telemetry::LogLevel::kWarn, "hot", "site");
-      ev.field("i", std::int64_t{i});
-    }
-    telemetry::TraceSpan span("hot_span", "obs_test");
-    if (telemetry::counters_enabled())
-      telemetry::MetricsRegistry::global().counter("obs_test.never").inc();
+    // Every sink off: a stage, its close-out event, a log event and a
+    // trace instant do no work at all.
+    launch_event(i);
+    telemetry::event(telemetry::Site::kRetry,
+                     {{"id", i}, {"attempt", 1}, {"status", "Unavailable"}});
+    telemetry::event(telemetry::Site::kOaCandidate, {{"in_vol", i}});
   }
   g_count_allocs.store(false, std::memory_order_relaxed);
   fr.set_enabled(recorder_was_on);
 
   EXPECT_EQ(g_allocs.load(std::memory_order_relaxed), 0);
+}
+
+TEST(ZeroOverhead, RecorderOnLogOffSitesAllocateNothing) {
+  // The default configuration: telemetry and log off, flight recorder
+  // on. Once the thread's ring exists and the always-on handles are
+  // resolved, launches and executions record without allocating.
+  const telemetry::ScopedLevel off(telemetry::Level::kOff);
+  const telemetry::ScopedLogLevel log_off(telemetry::LogLevel::kOff);
+  auto& fr = telemetry::FlightRecorder::global();
+  const bool recorder_was_on = telemetry::recorder_enabled();
+  fr.set_enabled(true);
+  fr.clear();
+  launch_event(0);
+  execution_event();
+
+  g_allocs.store(0, std::memory_order_relaxed);
+  g_count_allocs.store(true, std::memory_order_relaxed);
+  for (int i = 0; i < 1000; ++i) {
+    launch_event(i);
+    execution_event();
+  }
+  g_count_allocs.store(false, std::memory_order_relaxed);
+  const auto entries = fr.entries();
+  fr.set_enabled(recorder_was_on);
+  telemetry::MetricsRegistry::global().clear();
+  telemetry::ModelAccuracy::global().clear();
+
+  EXPECT_EQ(g_allocs.load(std::memory_order_relaxed), 0);
+  ASSERT_FALSE(entries.empty());
+  EXPECT_EQ(std::string(entries.back().event), "launch");
+  EXPECT_EQ(std::string(entries.back().detail),
+            "kernel=orthogonal_distinct grid_blocks=64 block_threads=256 "
+            "simulated_us=12.5");
 }
 
 TEST(FlightRecorderTest, NotesRetainTruncateAndOrder) {
@@ -182,19 +256,38 @@ TEST(FlightRecorderTest, LogEventsMirrorIntoTheRing) {
   fr.set_enabled(true);
   fr.clear();
   {
-    // Log level off: nothing reaches the sink, but the site gate stays
-    // open for the recorder and the ring still gets the event.
+    // Log level off: nothing reaches the sink, but the ring still gets
+    // the event, its fields formatted into the detail.
     const telemetry::ScopedLogLevel lvl(telemetry::LogLevel::kOff);
-    ASSERT_TRUE(telemetry::log_site_enabled(telemetry::LogLevel::kDebug));
-    telemetry::LogEvent ev(telemetry::LogLevel::kDebug, "obs_test", "mirrored");
-    ev.detail("ring only");
+    telemetry::event(telemetry::Site::kCacheEvict,
+                     {{"size", 3}, {"evictions", 1}});
   }
   const auto entries = fr.entries();
   fr.set_enabled(was_on);
 
   ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(std::string(entries[0].event), "mirrored");
-  EXPECT_EQ(std::string(entries[0].detail), "ring only");
+  EXPECT_EQ(std::string(entries[0].component), "plan_cache");
+  EXPECT_EQ(std::string(entries[0].event), "evict");
+  EXPECT_EQ(entries[0].level, telemetry::LogLevel::kDebug);
+  EXPECT_EQ(std::string(entries[0].detail), "size=3 evictions=1");
+}
+
+TEST(FlightRecorderTest, SpecializationLeavesOneRingEntry) {
+  auto& fr = telemetry::FlightRecorder::global();
+  const bool was_on = telemetry::recorder_enabled();
+  fr.set_enabled(true);
+  sim::Device dev;
+  Plan plan = make_plan(dev, Shape({64, 32, 48}), Permutation({2, 0, 1}));
+  fr.clear();
+  plan.finalize_specialization(true);
+  const auto entries = fr.entries();
+  fr.set_enabled(was_on);
+
+  const auto specialized = std::count_if(
+      entries.begin(), entries.end(), [](const telemetry::FlightEntry& e) {
+        return std::string(e.event) == "plan.specialized";
+      });
+  EXPECT_EQ(specialized, 1);
 }
 
 TEST(FlightRecorderTest, RingCapacityBoundsPerThreadHistory) {
@@ -416,8 +509,8 @@ TEST(Trace, EventsCarryTidAndPerThreadDepth) {
 
   auto worker = [] {
     for (int i = 0; i < 200; ++i) {
-      telemetry::TraceSpan outer("outer", "obs_test");
-      telemetry::TraceSpan inner("inner", "obs_test");
+      telemetry::Stage outer(telemetry::Site::kMakePlan);
+      telemetry::Stage inner(telemetry::Site::kClassify);
     }
   };
   std::thread a(worker), b(worker);
@@ -432,7 +525,7 @@ TEST(Trace, EventsCarryTidAndPerThreadDepth) {
     EXPECT_GE(ev.tid, 1u);
     // Depth is tracked per thread: two concurrently-nesting threads
     // never push each other past their own lexical depth.
-    EXPECT_EQ(ev.depth, ev.name == "outer" ? 0 : 1);
+    EXPECT_EQ(ev.depth, ev.name == "make_plan" ? 0 : 1);
     if (std::find(tids.begin(), tids.end(), ev.tid) == tids.end())
       tids.push_back(ev.tid);
   }

@@ -15,6 +15,7 @@
 #include "gpusim/fault_injector.hpp"
 #include "shard/sharded_executor.hpp"
 #include "telemetry/flight_recorder.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace ttlg::shard {
 namespace {

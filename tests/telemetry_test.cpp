@@ -1,5 +1,5 @@
 // Telemetry subsystem: Json round-trips, metrics registry export, trace
-// span nesting, plan-cache counters, and model-accuracy aggregation.
+// stage nesting, plan-cache counters, and model-accuracy aggregation.
 // Tests that touch the GLOBAL registry/collector scope the level with
 // ScopedLevel and clear the globals they used, so suites stay
 // order-independent.
@@ -8,6 +8,7 @@
 #include "core/plan_cache.hpp"
 #include "core/ttlg.hpp"
 #include "telemetry/accuracy.hpp"
+#include "telemetry/event.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/telemetry.hpp"
@@ -115,21 +116,24 @@ TEST(MetricsRegistry, CountersGaugesHistograms) {
   EXPECT_TRUE(reg.empty());
 }
 
-TEST(MetricsRegistry, CounterRefResolvesOnceAndSurvivesClear) {
-  telemetry::MetricsRegistry reg;
-  telemetry::CounterRef ref(reg, "cached.counter");
-  EXPECT_EQ(reg.counter_value("cached.counter"), 0);
-  ref.inc();
-  ref.inc(2);
-  EXPECT_EQ(reg.counter_value("cached.counter"), 3);
-  EXPECT_EQ(&ref.get(), &reg.counter("cached.counter"));
-  // clear() drops the counter the handle points at; the handle must
+TEST(MetricsRegistry, CatalogueHandlesResolveOnceAndSurviveClear) {
+  auto& reg = telemetry::MetricsRegistry::global();
+  reg.clear();
+  const telemetry::Entry& executions =
+      telemetry::entries_of(telemetry::Site::kPlanExecution).front();
+  ASSERT_STREQ(executions.name, "plan.executions");
+  telemetry::event(telemetry::Site::kPlanExecution);
+  telemetry::event(telemetry::Site::kPlanExecution);
+  EXPECT_EQ(reg.counter_value("plan.executions"), 2);
+  EXPECT_EQ(executions.handle.load(), &reg.counter("plan.executions"));
+  // clear() drops the counter the handle points at; the entry must
   // resolve the new one instead of writing through a dangling pointer.
   reg.clear();
-  EXPECT_EQ(reg.counter_value("cached.counter"), 0);
-  ref.inc(5);
-  EXPECT_EQ(reg.counter_value("cached.counter"), 5);
-  EXPECT_EQ(&ref.get(), &reg.counter("cached.counter"));
+  EXPECT_EQ(reg.counter_value("plan.executions"), 0);
+  telemetry::event(telemetry::Site::kPlanExecution);
+  EXPECT_EQ(reg.counter_value("plan.executions"), 1);
+  EXPECT_EQ(executions.handle.load(), &reg.counter("plan.executions"));
+  reg.clear();
 }
 
 TEST(MetricsRegistry, JsonExportRoundTrips) {
@@ -150,28 +154,29 @@ TEST(MetricsRegistry, JsonExportRoundTrips) {
   EXPECT_NE(table.find("x.hist"), std::string::npos);
 }
 
-TEST(Trace, SpanNestingAndContainment) {
+TEST(Trace, StageNestingAndContainment) {
   const telemetry::ScopedLevel scoped(telemetry::Level::kTrace);
   auto& tc = telemetry::TraceCollector::global();
   tc.clear();
   {
-    telemetry::TraceSpan outer("outer", "test");
-    ASSERT_TRUE(outer.active());
-    outer.arg("k", 1);
+    telemetry::Stage outer(telemetry::Site::kMakePlan);
+    outer.emit({{"k", 1}});
     {
-      telemetry::TraceSpan inner("inner", "test");
-      inner.instant("tick", Json::object());
+      telemetry::Stage inner(telemetry::Site::kSliceSearchOa);
+      telemetry::event(telemetry::Site::kOaCandidate, {{"in_vol", 32}});
     }
   }
   const auto events = tc.events();
   tc.clear();
+  telemetry::MetricsRegistry::global().clear();
 
-  // Destruction order: tick (instant), inner, outer.
+  // Destruction order: the instant, inner, outer.
   ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].name, "tick");
+  EXPECT_EQ(events[0].name, "oa_candidate");
   EXPECT_EQ(events[0].ph, 'i');
-  EXPECT_EQ(events[1].name, "inner");
-  EXPECT_EQ(events[2].name, "outer");
+  EXPECT_EQ(events[1].name, "slice_search.oa");
+  EXPECT_EQ(events[2].name, "make_plan");
+  EXPECT_EQ(events[2].cat, "planner");
   EXPECT_EQ(events[1].depth, 1);
   EXPECT_EQ(events[2].depth, 0);
   // chrome://tracing reconstructs nesting from [ts, ts+dur] containment.
@@ -180,10 +185,9 @@ TEST(Trace, SpanNestingAndContainment) {
             events[2].ts_us + events[2].dur_us + 1e-6);
   EXPECT_EQ(events[2].args.at("k").as_int(), 1);
 
-  // With tracing off a span is inert and records nothing.
+  // With tracing off a stage is inert and records nothing.
   const telemetry::ScopedLevel off(telemetry::Level::kOff);
-  telemetry::TraceSpan dead("dead", "test");
-  EXPECT_FALSE(dead.active());
+  { telemetry::Stage dead(telemetry::Site::kMakePlan); }
   EXPECT_TRUE(tc.empty());
 }
 
@@ -191,15 +195,15 @@ TEST(Trace, JsonIsChromeTracingShaped) {
   const telemetry::ScopedLevel scoped(telemetry::Level::kTrace);
   auto& tc = telemetry::TraceCollector::global();
   tc.clear();
-  { telemetry::TraceSpan span("s", "cat"); }
+  { telemetry::Stage stage(telemetry::Site::kShardRun); }
   const Json j = Json::parse(tc.to_json().dump());
   tc.clear();
 
   EXPECT_EQ(j.at("displayTimeUnit").as_str(), "ms");
   ASSERT_EQ(j.at("traceEvents").size(), 1u);
   const Json& ev = j.at("traceEvents").at(std::size_t{0});
-  EXPECT_EQ(ev.at("name").as_str(), "s");
-  EXPECT_EQ(ev.at("cat").as_str(), "cat");
+  EXPECT_EQ(ev.at("name").as_str(), "shard.run");
+  EXPECT_EQ(ev.at("cat").as_str(), "shard");
   EXPECT_EQ(ev.at("ph").as_str(), "X");
   EXPECT_TRUE(ev.contains("ts"));
   EXPECT_TRUE(ev.contains("dur"));
