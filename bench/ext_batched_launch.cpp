@@ -14,11 +14,11 @@
 // (default results/baselines/BENCH_batched_launch.json), which the CI
 // speedup gate feeds to perfdiff --min-geomean-speedup.
 //
-// Each sweep point reports, for both paths, the median over --trials
+// Each sweep point reports, for both paths, the median over kTrials (5)
 // trials of the best-of---reps wall time; loop and fused reps alternate
 // within a trial.
 //
-// Flags: --csv  --reps N  --trials N  --baseline-out PATH
+// Flags: --csv  --reps N  --baseline-out PATH
 #include <algorithm>
 #include <cstring>
 #include <iostream>
@@ -70,7 +70,11 @@ double median(std::vector<double> v) {
   return n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
-Measured run_point(const SweepPoint& p, int reps, int trials) {
+/// Trials per sweep point: the median of five keeps one noisy trial
+/// from deciding the CI speedup gate.
+constexpr int kTrials = 5;
+
+Measured run_point(const SweepPoint& p, int reps) {
   const Shape shape(p.ext);
   const Permutation perm(p.perm);
   sim::Device dev;
@@ -118,7 +122,7 @@ Measured run_point(const SweepPoint& p, int reps, int trials) {
   // speed during the sweep reaches both paths alike instead of deciding
   // the ratio; the median over trials damps a noisy trial.
   std::vector<double> loop_trials, fused_trials;
-  for (int trial = 0; trial < trials; ++trial) {
+  for (int trial = 0; trial < kTrials; ++trial) {
     double loop_ms = 1e300, fused_ms = 1e300;
     for (int r = 0; r < reps; ++r) {
       WallTimer loop_timer;
@@ -141,7 +145,6 @@ Measured run_point(const SweepPoint& p, int reps, int trials) {
 int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   const int reps = static_cast<int>(cli.get_int("reps", 5));
-  const int trials = std::max(1, static_cast<int>(cli.get_int("trials", 1)));
   const std::string baseline_out =
       cli.get("baseline-out", "results/baselines/BENCH_batched_launch.json");
   std::cout << "# Extension: fused batched-launch amortization "
@@ -161,7 +164,7 @@ int main(int argc, char** argv) {
                                  sim::DeviceProperties::tesla_k40c());
   for (bench::BenchReport* r : {&fused_report, &loop_report}) {
     r->set_config("reps", telemetry::Json(reps));
-    r->set_config("trials", telemetry::Json(trials));
+    r->set_config("trials", telemetry::Json(kTrials));
   }
   loop_report.set_config("path", telemetry::Json("per-call loop"));
   fused_report.set_config("path", telemetry::Json("fused super-grid"));
@@ -172,7 +175,7 @@ int main(int argc, char** argv) {
   for (const auto& [ext, perm] : problems) {
     const Index volume = Shape(ext).volume();
     for (const int b : batches) {
-      const Measured m = run_point({ext, perm, b}, reps, trials);
+      const Measured m = run_point({ext, perm, b}, reps);
       all_identical = all_identical && m.identical;
       const std::string id =
           "v" + std::to_string(volume) + "/b" + std::to_string(b);

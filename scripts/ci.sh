@@ -91,7 +91,7 @@ echo "== perfdiff: fused batched-launch speedup gate (fresh run) =="
 # the polarity self-test: an injected slowdown must trip the gate.
 batched_dir=$(mktemp -d)
 TTLG_BENCH_JSON_DIR="$batched_dir" build/bench/ext_batched_launch \
-  --trials 5 --baseline-out "$batched_dir/loop.json" >/dev/null
+  --baseline-out "$batched_dir/loop.json" >/dev/null
 for key in v1024/b64 v1024/b256; do
   build/tools/perfdiff --filter "$key" --min-geomean-speedup 2.0 \
     "$batched_dir/loop.json" "$batched_dir/BENCH_batched_launch.json"

@@ -27,7 +27,6 @@ class BenchReport {
   /// not fit the backend-bandwidth CaseResult shape.
   void add_case_json(telemetry::Json c) { cases_.push_back(std::move(c)); }
 
-  std::size_t num_cases() const { return cases_.size(); }
   const std::string& name() const { return name_; }
 
   /// Full report: bench name, schema_version, config (device + params),

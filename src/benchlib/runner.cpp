@@ -3,7 +3,6 @@
 #include <ostream>
 
 #include "benchlib/report.hpp"
-#include "common/table.hpp"
 #include "gpusim/thread_pool.hpp"
 #include "tensor/fusion.hpp"
 
@@ -55,24 +54,6 @@ std::vector<CaseResult> Runner::run_case(
     for (const auto& res : out) opts_.report->add_case(res);
   }
   return out;
-}
-
-void print_results(std::ostream& os, const std::vector<CaseResult>& results,
-                   bool csv) {
-  Table t({"case", "backend", "volume", "scaled_rank", "plan_ms", "kernel_ms",
-           "bw_repeated_GBps", "bw_single_GBps", "detail"});
-  for (const auto& r : results) {
-    t.add_row({r.case_id, r.backend, Table::num(r.volume),
-               Table::num(r.scaled_rank), Table::num(r.plan_s * 1e3, 4),
-               Table::num(r.kernel_s * 1e3, 4),
-               Table::num(r.bw_repeated_gbps, 1),
-               Table::num(r.bw_single_gbps, 1), r.detail});
-  }
-  if (csv) {
-    t.print_csv(os);
-  } else {
-    t.print(os);
-  }
 }
 
 void print_machine_header(std::ostream& os,

@@ -56,10 +56,6 @@ class Runner {
   RunnerOptions opts_;
 };
 
-/// Print the standard per-case result block (one row per backend).
-void print_results(std::ostream& os, const std::vector<CaseResult>& results,
-                   bool csv);
-
 /// Header every bench binary prints: the simulated machine configuration
 /// (the reproduction's Table III).
 void print_machine_header(std::ostream& os,

@@ -5,7 +5,6 @@
 
 #include "common/timer.hpp"
 #include "gpusim/fault_injector.hpp"
-#include "telemetry/accuracy.hpp"
 #include "telemetry/event.hpp"
 #include "telemetry/flight_recorder.hpp"
 
@@ -241,8 +240,7 @@ Plan make_plan(sim::Device& dev, const Shape& shape, const Permutation& perm,
   plan.finalize_specialization(opts.specialize &&
                                specialization_enabled_by_env());
   plan.plan_wall_s_ = timer.seconds();
-  stage.emit({{"shape", shape.to_string()},
-              {"perm", perm.to_string()},
+  stage.emit({{"shape", shape}, {"perm", perm},
               {"schema", to_string(plan.schema())},
               {"predicted_us", plan.predicted_time_s() * 1e6},
               {"plan_wall_ms", plan.plan_wall_s() * 1e3},

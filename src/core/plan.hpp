@@ -252,19 +252,6 @@ class Plan {
     return res;
   }
 
-  template <class T>
-  Expected<sim::LaunchResult> try_execute_window(sim::DeviceBuffer<T> in,
-                                                 sim::DeviceBuffer<T> out,
-                                                 LaunchWindow win,
-                                                 T alpha = T{1},
-                                                 T beta = T{0}) const {
-    auto res =
-        capture([&] { return execute_window<T>(in, out, win, alpha, beta); });
-    if (!res.has_value())
-      note_status_failure("plan.execute_window", res.status());
-    return res;
-  }
-
  private:
   friend Plan make_plan(sim::Device&, const Shape&, const Permutation&,
                         const PlanOptions&);

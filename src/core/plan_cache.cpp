@@ -28,8 +28,7 @@ std::shared_ptr<const Plan> PlanCache::get_shared(sim::Device& dev,
       it->second.last_use = ++tick_;
       if (was_hit) *was_hit = true;
       telemetry::event(telemetry::Site::kCacheHit,
-                       {{"shape", shape.to_string()},
-                        {"perm", perm.to_string()}});
+                       {{"shape", shape}, {"perm", perm}});
       return it->second.plan;
     }
   }
@@ -48,21 +47,19 @@ std::shared_ptr<const Plan> PlanCache::get_shared(sim::Device& dev,
       ++stats_.failures;
     }
     telemetry::event(telemetry::Site::kCacheFailure,
-                     {{"shape", shape.to_string()},
-                      {"perm", perm.to_string()}});
+                     {{"shape", shape}, {"perm", perm}});
     throw;
   }
   std::lock_guard<std::mutex> lk(mu_);
   ++stats_.misses;
   telemetry::event(telemetry::Site::kCacheMiss,
-                   {{"shape", shape.to_string()}, {"perm", perm.to_string()}});
+                   {{"shape", shape}, {"perm", perm}});
   if (plan->degraded()) {
     // Degraded plans are served but not retained — the pressure that
     // forced the fallback may clear, and the next get() should replan.
     ++stats_.uncacheable;
     telemetry::event(telemetry::Site::kCacheUncacheable,
-                     {{"shape", shape.to_string()},
-                      {"perm", perm.to_string()}});
+                     {{"shape", shape}, {"perm", perm}});
     return plan;
   }
   // A concurrent miss for the same key may have raced us here: first

@@ -184,7 +184,7 @@ void save_plan(std::ostream& os, const Plan& plan) {
      << '\n';
   telemetry::event(telemetry::Site::kPlanSave,
                    {{"schema", to_string(sel.schema)},
-                    {"shape", problem.shape.to_string()},
+                    {"shape", problem.shape},
                     {"bytes", payload.size()}});
 }
 
@@ -249,7 +249,7 @@ Plan load_plan(sim::Device& dev, std::istream& is) {
 
   telemetry::event(telemetry::Site::kPlanLoad,
                    {{"schema", to_string(parsed.second.schema)},
-                    {"shape", parsed.first.shape.to_string()}});
+                    {"shape", parsed.first.shape}});
 
   // Outside the catch: a device-side failure while uploading offset
   // arrays is a resource problem, not data loss, and must keep its own

@@ -61,7 +61,7 @@ Schema classify(const TransposeProblem& problem) {
     path = "WS-prefixes overlap -> Orthogonal-Arbitrary (model may "
            "still pick a truncated OD slice)";
   }
-  stage.emit({{"fused_rank", fs.rank()}, {"fused_shape", fs.to_string()},
+  stage.emit({{"fused_rank", fs.rank()}, {"fused_shape", fs},
               {"fvi_matches", fp.fvi_matches()},
               {"decision", to_string(schema)}, {"path", path}});
   return schema;
@@ -90,8 +90,7 @@ KernelSelection select_kernel(const TransposeProblem& problem,
   sel.schema = classify(problem);
 
   auto finish = [&](KernelSelection s) {
-    stage.emit({{"shape", problem.shape.to_string()},
-                {"perm", problem.perm.to_string()},
+    stage.emit({{"shape", problem.shape}, {"perm", problem.perm},
                 {"elem_size", problem.elem_size},
                 {"schema", to_string(s.schema)},
                 {"predicted_us", s.predicted_s * 1e6},

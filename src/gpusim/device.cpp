@@ -15,6 +15,12 @@ void check_injected_alloc_fault(std::int64_t bytes) {
   }
 }
 
+/// A fused dispatch's kernel name, built only by a sink that takes it.
+struct BatchedName {
+  std::string_view kernel;
+  std::string to_string() const { return std::string(kernel) + "+batched"; }
+};
+
 }  // namespace
 
 Device::Device(DeviceProperties props) : props_(std::move(props)) {
@@ -129,11 +135,11 @@ void Device::check_injected_launch_faults(const LaunchConfig& cfg) const {
 
 void Device::emit_launch(telemetry::Stage& stage, const LaunchConfig& cfg,
                          const std::vector<LaunchResult>& results) const {
-  std::string_view kernel =
+  const std::string_view kernel =
       cfg.kernel_name.empty() ? std::string_view("kernel") : cfg.kernel_name;
+  const BatchedName batched{kernel};
   const LaunchResult* res = &results.front();
   LaunchResult agg;
-  std::string batched;
   if (results.size() > 1) {
     for (const LaunchResult& r : results) {
       agg.counters += r.counters;
@@ -142,14 +148,14 @@ void Device::emit_launch(telemetry::Stage& stage, const LaunchConfig& cfg,
     agg.counters.block_threads = cfg.block_threads;
     agg.counters.shared_bytes_per_block = cfg.shared_elems * cfg.elem_size;
     agg.timing = kernel_timing(props_, agg.counters);
-    batched = std::string(kernel) + "+batched";
-    kernel = batched;
     res = &agg;
   }
   const LaunchCounters& c = res->counters;
   const TimingBreakdown& t = res->timing;
   stage.emit(
-      {{"kernel", kernel}, {"gld_transactions", c.gld_transactions},
+      {results.size() > 1 ? telemetry::Field("kernel", batched)
+                          : telemetry::Field("kernel", kernel),
+       {"gld_transactions", c.gld_transactions},
        {"gst_transactions", c.gst_transactions},
        {"smem_load_ops", c.smem_load_ops}, {"smem_store_ops", c.smem_store_ops},
        {"smem_bank_conflicts", c.smem_bank_conflicts},

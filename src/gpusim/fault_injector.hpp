@@ -92,8 +92,6 @@ class FaultInjector {
   void configure(const std::string& spec_text) {
     configure(FaultSpec::parse(spec_text));
   }
-  /// Remove all faults (and reset counters).
-  void disarm() { configure(FaultSpec{}); }
 
   bool armed() const { return armed_.load(std::memory_order_relaxed); }
 

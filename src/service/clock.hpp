@@ -44,7 +44,6 @@ class ManualClock final : public Clock {
   void advance_us(std::int64_t us) {
     t_us_.fetch_add(us, std::memory_order_relaxed);
   }
-  void set_us(std::int64_t us) { t_us_.store(us, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::int64_t> t_us_;

@@ -139,7 +139,7 @@ std::future<Response> Server::reject(const Request& req, Outcome outcome,
                     {"outcome", to_string(res.outcome)},
                     {"attempts", static_cast<double>(res.attempts)},
                     {"latency_us", static_cast<double>(res.latency_us)},
-                    {"status", res.status.to_string()}});
+                    {"status", res.status}});
   std::promise<Response> p;
   p.set_value(std::move(res));
   return p.get_future();
@@ -365,10 +365,9 @@ void Server::process_batch(std::vector<Request> reqs) {
     res.batch_members = static_cast<int>(live.size());
     res.attempts = 1;
     res.sim_time_s = runs[i].time_s;
-    telemetry::event(telemetry::Site::kServiceExec,
-                     {{"exec_us", runs[i].time_s * 1e6}});
     n_.served.fetch_add(1, std::memory_order_relaxed);
-    telemetry::event(telemetry::Site::kServed);
+    telemetry::event(telemetry::Site::kServed,
+                     {{"exec_us", res.sim_time_s * 1e6}});
     finish(req, std::move(res));
   }
   free_pairs();
@@ -424,8 +423,7 @@ Status Server::attempt_once(const Request& req, std::int64_t headroom_us,
         res.output = std::move(out);
         res.sharded = true;
         res.sim_time_s = run->makespan_s;
-        telemetry::event(telemetry::Site::kSharded,
-                         {{"exec_us", run->makespan_s * 1e6}});
+        telemetry::event(telemetry::Site::kSharded);
       }
       return run.status();
     }
@@ -446,8 +444,6 @@ Status Server::attempt_once(const Request& req, std::int64_t headroom_us,
       res.output.assign(out.data(), out.data() + out.size());
       res.exec_path = plan->last_exec_path();
       res.sim_time_s = exec->time_s;
-      telemetry::event(telemetry::Site::kServiceExec,
-                       {{"exec_us", exec->time_s * 1e6}});
     }
     dev_.try_free(in);
     dev_.try_free(out);
@@ -524,7 +520,8 @@ void Server::process(Request req, const Status* first_attempt) {
                           : attempt_once(req, headroom_us, res);
     if (st.is_ok()) {
       n_.served.fetch_add(1, std::memory_order_relaxed);
-      telemetry::event(telemetry::Site::kServed);
+      telemetry::event(telemetry::Site::kServed,
+                       {{"exec_us", res.sim_time_s * 1e6}});
       res.outcome = Outcome::kServed;
       res.status = Status::ok();
       break;
@@ -537,7 +534,7 @@ void Server::process(Request req, const Status* first_attempt) {
     telemetry::event(telemetry::Site::kRetry,
                      {{"id", static_cast<double>(req.id)},
                       {"attempt", static_cast<double>(attempt)},
-                      {"status", st.to_string()}});
+                      {"status", st}});
     clock_.sleep_us(backoff_us(cfg_.backoff, req.id, attempt));
     if (check()) {
       classify(Status::error(ErrorCode::kDeadlineExceeded,

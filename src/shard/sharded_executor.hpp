@@ -40,7 +40,6 @@
 #include "shard/shard_counters.hpp"
 #include "shard/shard_split.hpp"
 #include "telemetry/event.hpp"
-#include "telemetry/trace.hpp"
 
 namespace ttlg::shard {
 

@@ -121,7 +121,13 @@ const Entry kEntries[] = {
     always(kBatchMemberFailed, "plan.batch.member_failure", "mid-loop fails"),
     note(kBatchMemberFailed, "plan/plan.batch.member_failed", "failed member"),
 
-    stage(kLaunch, "sim/launch:<kernel>", "one simulated launch"),
+    stage(kLaunch, "sim/launch:<kernel>", "one simulated launch",
+          "gld_transactions gst_transactions smem_load_ops smem_store_ops "
+          "smem_bank_conflicts tex_transactions tex_misses special_ops "
+          "fma_ops grid_blocks block_threads shared_bytes_per_block barriers "
+          "payload_bytes dram_transactions coalescing_efficiency "
+          "simulated_time_us occupancy waves dram_us smem_us alu_us tex_us "
+          "mode"),
     log(kLaunch, "sim/launch", kDebug, "one simulated launch",
         "kernel grid_blocks block_threads simulated_us"),
     counter(kLaunch, "sim.launches", "simulated launches"),
@@ -141,6 +147,8 @@ const Entry kEntries[] = {
     counter(kSubmitted, "service.submitted", "requests entering admission"),
     counter(kAdmitted, "service.admitted", "requests queued"),
     counter(kServed, "service.served", "requests served"),
+    histogram(kServed, "service.exec_us", "us", kSim,
+              "kernel time per served request", "exec_us", kServiceUs),
     counter(kShedQueueFull, "service.shed.queue_full", "shed: queue full"),
     counter(kShedQuota, "service.shed.quota", "shed: tenant over quota"),
     counter(kExpiredAdmission, "service.expired.admission", "past deadline"),
@@ -151,8 +159,6 @@ const Entry kEntries[] = {
     log(kRetry, "service/retry", kInfo, "a request retries"),
     counter(kHeuristicForced, "service.heuristic_forced", "heuristic planning"),
     counter(kSharded, "service.sharded", "requests served by the fleet"),
-    histogram(kSharded, "service.exec_us", "us", kSim,
-              "kernel time per served request", "exec_us", kServiceUs),
     counter(kCoalesceFused, "service.coalesce.fused", "fused group launches"),
     histogram(kCoalesceFused, "service.coalesce.members", "count", kNone,
               "members per fused group", "members", kMembers),
@@ -165,8 +171,6 @@ const Entry kEntries[] = {
               "submit to terminal latency", "latency_us", kServiceUs),
     histogram(kQueueWait, "service.queue_wait_us", "us", kWall,
               "submit to dequeue wait", "queue_wait_us", kServiceUs),
-    histogram(kServiceExec, "service.exec_us", "us", kSim,
-              "kernel time per served request", "exec_us", kServiceUs),
     log(kRequestServed, "service/request", kDebug, "a request was served"),
     log(kRequestUnserved, "service/request", kWarn, "a request not served"),
 

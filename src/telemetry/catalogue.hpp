@@ -34,7 +34,7 @@ enum class Site : std::uint8_t {
   kSubmitted, kAdmitted, kServed, kShedQueueFull, kShedQuota,
   kExpiredAdmission, kExpiredQueue, kExpiredExec, kFailed, kRetry,
   kHeuristicForced, kSharded, kCoalesceFused, kWindowHit, kWindowMiss,
-  kCoalesceFallback, kQueueDepth, kLatency, kQueueWait, kServiceExec,
+  kCoalesceFallback, kQueueDepth, kLatency, kQueueWait,
   kRequestServed, kRequestUnserved,
   kShardRun, kShardRunDone, kShardFailover, kShardFailure,
   kTtgtPlan, kTtgtChain, kTtgtExecute,

@@ -60,17 +60,20 @@ struct Writer {
     p += n;
   }
   void put(const Field& f) {
-    std::to_chars_result r{p, {}};
+    char num[32];  // fits any int64 and any 6-digit double
+    std::to_chars_result r{num, {}};
     switch (f.type) {
-      case Type::kInt: r = std::to_chars(p, end, f.i); break;
+      case Type::kInt: r = std::to_chars(num, num + sizeof num, f.i); break;
       case Type::kReal:
-        r = std::to_chars(p, end, f.d, std::chars_format::general, 6);
+        r = std::to_chars(num, num + sizeof num, f.d,
+                          std::chars_format::general, 6);
         break;
-      case Type::kBool: put(f.i ? "true" : "false"); return;
-      case Type::kText: put(f.text); return;
+      case Type::kBool: return put(f.i ? "true" : "false");
+      case Type::kText: return put(f.text);
+      case Type::kFormatted: return put(f.str());
       case Type::kAbsent: return;
     }
-    p = r.ec == std::errc() ? r.ptr : end;
+    if (r.ec == std::errc()) put(std::string_view(num, r.ptr - num));
   }
 };
 
@@ -91,6 +94,16 @@ std::size_t expand(std::string_view pattern, Fields fields, char* buf,
     pattern.remove_prefix(close + 1);
   }
   return static_cast<std::size_t>(w.p - buf);
+}
+
+/// Stages open on this thread: the depth of the next trace event.
+thread_local int t_depth = 0;
+
+void trace(const Entry& e, std::string name, char ph, double ts_us,
+           double dur_us, int depth, Json args) {
+  TraceCollector::global().add({std::move(name), std::string(component_of(e)),
+                                ph, ts_us, dur_us, depth, this_thread_id(),
+                                std::move(args)});
 }
 
 Json fields_json(const Entry& e, Fields fields) {
@@ -117,7 +130,18 @@ M& resolve(const Entry& e, MetricsRegistry& reg) {
   return *m;
 }
 
+void residual(const Entry& e, Fields fields) {
+  const Field* predicted = find(fields, "predicted_s");
+  const Field* measured = find(fields, "measured_s");
+  char key[64];
+  const std::size_t len = expand(name_of(e), fields, key, sizeof key);
+  if (predicted != nullptr && measured != nullptr && len > 0)
+    ModelAccuracy::global().record(std::string_view(key, len),
+                                   predicted->number(), measured->number());
+}
+
 void update(const Entry& e, Fields fields) {
+  if (e.kind == Kind::kResidual) return residual(e, fields);
   const Field* value = e.fields ? find(fields, e.fields) : nullptr;
   if (e.fields && value == nullptr) return;
   const double x = value == nullptr ? 1.0 : value->number();
@@ -138,16 +162,6 @@ void update(const Entry& e, Fields fields) {
     case Kind::kHistogram: resolve<Histogram>(e, reg).observe(x); break;
     default: break;
   }
-}
-
-void residual(const Entry& e, Fields fields) {
-  const Field* predicted = find(fields, "predicted_s");
-  const Field* measured = find(fields, "measured_s");
-  char key[64];
-  const std::size_t len = expand(name_of(e), fields, key, sizeof key);
-  if (predicted != nullptr && measured != nullptr && len > 0)
-    ModelAccuracy::global().record(std::string_view(key, len),
-                                   predicted->number(), measured->number());
 }
 
 void note(const Entry& e, Fields fields) {
@@ -171,7 +185,8 @@ Json Field::to_json() const {
     case Type::kInt: return Json(i);
     case Type::kReal: return Json(d);
     case Type::kBool: return Json(i != 0);
-    case Type::kText: return Json(std::string(text));
+    case Type::kText:
+    case Type::kFormatted: return Json(str());
     case Type::kAbsent: break;
   }
   return Json();
@@ -180,14 +195,6 @@ Json Field::to_json() const {
 void event(Site site, Fields fields) {
   for (const Entry& e : entries_of(site)) {
     switch (e.kind) {
-      case Kind::kCounter:
-      case Kind::kGauge:
-      case Kind::kGaugeSum:
-      case Kind::kHistogram:
-      case Kind::kResidual:
-        if (e.gate != Gate::kAlways && !counters_enabled()) break;
-        e.kind == Kind::kResidual ? residual(e, fields) : update(e, fields);
-        break;
       case Kind::kLog:
         if (log_enabled(level_of(e)))
           detail::write_log(level_of(e), component_of(e), name_of(e),
@@ -198,11 +205,13 @@ void event(Site site, Fields fields) {
         break;
       case Kind::kInstant:
         if (trace_enabled())
-          TraceCollector::global().instant(std::string(name_of(e)),
-                                           std::string(component_of(e)),
-                                           fields_json(e, fields));
+          trace(e, std::string(name_of(e)), 'i',
+                TraceCollector::global().now_us(), 0, t_depth,
+                fields_json(e, fields));
         break;
       case Kind::kStage: break;
+      default:  // metrics and residuals
+        if (e.gate == Gate::kAlways || counters_enabled()) update(e, fields);
     }
   }
 }
@@ -213,25 +222,16 @@ Stage::Stage(Site site) : site_(site) {
     if (e.kind == Kind::kStage) span_ = &e;
   if (span_ == nullptr) return;
   name_ = name_of(*span_);
-  TraceCollector& tc = TraceCollector::global();
-  depth_ = tc.enter_span();
-  start_us_ = tc.now_us();
+  depth_ = t_depth++;
+  start_us_ = TraceCollector::global().now_us();
 }
 
 Stage::~Stage() {
   if (span_ == nullptr) return;
-  TraceCollector& tc = TraceCollector::global();
-  TraceEvent ev;
-  ev.name = std::move(name_);
-  ev.cat = component_of(*span_);
-  ev.ph = 'X';
-  ev.ts_us = start_us_;
-  ev.dur_us = tc.now_us() - start_us_;
-  ev.depth = depth_;
-  ev.tid = this_thread_id();
-  ev.args = std::move(args_);
-  tc.exit_span();
-  tc.add(std::move(ev));
+  --t_depth;
+  trace(*span_, std::move(name_), 'X', start_us_,
+        TraceCollector::global().now_us() - start_us_, depth_,
+        std::move(args_));
 }
 
 void Stage::emit(Fields fields) {

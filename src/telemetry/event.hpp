@@ -12,11 +12,14 @@
 // region: its emit() fires the site's event and hands the same fields to
 // the stage's trace span as args.
 //
-// Fields are numbers or text views and must outlive the call, which
-// temporaries in the call expression do. Json is built only inside the
-// log and trace sinks; the flight ring gets the fields formatted into its
-// fixed detail buffer, so an event that reaches only the counters and the
-// ring allocates nothing.
+// Fields are numbers, text views, or values with a to_string() member
+// (Shape, Permutation, Status, ...) that only a sink taking the field
+// formats. They must outlive the call, which temporaries in the call
+// expression do. Json is built only inside the log and trace sinks; the
+// flight ring gets the fields formatted into its fixed detail buffer, so
+// an event whose sinks are all off allocates nothing, and one that
+// reaches only the counters and the ring allocates nothing unless it
+// carries a to_string() field.
 #pragma once
 
 #include <concepts>
@@ -32,7 +35,9 @@
 namespace ttlg::telemetry {
 
 struct Field {
-  enum class Type : std::uint8_t { kAbsent, kInt, kReal, kBool, kText };
+  enum class Type : std::uint8_t {
+    kAbsent, kInt, kReal, kBool, kText, kFormatted
+  };
 
   template <std::integral T>
   Field(const char* k, T v)
@@ -44,6 +49,15 @@ struct Field {
   Field(const char* k, std::string_view v)
       : key(k), type(Type::kText), text(v) {}
   Field(const char* k, const char* v) : Field(k, std::string_view(v)) {}
+  template <class T>
+    requires requires(const T& v) { std::string(v.to_string()); }
+  Field(const char* k, const T& v)
+      : key(k),
+        type(Type::kFormatted),
+        object(&v),
+        format([](const void* p) {
+          return std::string(static_cast<const T*>(p)->to_string());
+        }) {}
   /// An empty optional is an absent field: no sink sees it.
   template <class T>
   Field(const char* k, const std::optional<T>& v) : key(k) {
@@ -51,6 +65,10 @@ struct Field {
   }
 
   double number() const { return type == Type::kReal ? d : double(i); }
+  /// The text of a kText or kFormatted field.
+  std::string str() const {
+    return type == Type::kFormatted ? format(object) : std::string(text);
+  }
   Json to_json() const;
 
   const char* key;
@@ -58,6 +76,8 @@ struct Field {
   std::int64_t i = 0;
   double d = 0;
   std::string_view text;
+  const void* object = nullptr;
+  std::string (*format)(const void*) = nullptr;
 };
 
 using Fields = std::initializer_list<Field>;

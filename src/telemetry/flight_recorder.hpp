@@ -70,7 +70,6 @@ class FlightRecorder {
 
   /// Snapshot of all retained entries, globally ordered oldest-first.
   std::vector<FlightEntry> entries() const;
-  std::size_t size() const { return entries().size(); }
 
   /// {"flight_recorder": {"dumped_at_us":..., "trigger": {...}|null,
   ///   "events": [{"ts_us","seq","tid","level","component","event",

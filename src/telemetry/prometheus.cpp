@@ -92,24 +92,18 @@ std::string prometheus_name(const std::string& name) {
 
 std::string to_prometheus(const Json& snapshot) {
   std::ostringstream os;
-  if (const Json* counters = snapshot.find("counters");
-      counters != nullptr && counters->is_object()) {
-    for (const auto& [source, v] : counters->items()) {
+  const auto scalars = [&](const char* group, const char* type) {
+    const Json* metrics = snapshot.find(group);
+    if (metrics == nullptr || !metrics->is_object()) return;
+    for (const auto& [source, v] : metrics->items()) {
       if (!v.is_number()) continue;
       const std::string name = prometheus_name(source);
-      emit_header(os, name, source, "counter");
+      emit_header(os, name, source, type);
       os << name << ' ' << fmt_num(v.as_double()) << '\n';
     }
-  }
-  if (const Json* gauges = snapshot.find("gauges");
-      gauges != nullptr && gauges->is_object()) {
-    for (const auto& [source, v] : gauges->items()) {
-      if (!v.is_number()) continue;
-      const std::string name = prometheus_name(source);
-      emit_header(os, name, source, "gauge");
-      os << name << ' ' << fmt_num(v.as_double()) << '\n';
-    }
-  }
+  };
+  scalars("counters", "counter");
+  scalars("gauges", "gauge");
   if (const Json* hists = snapshot.find("histograms");
       hists != nullptr && hists->is_object()) {
     for (const auto& [source, h] : hists->items()) {

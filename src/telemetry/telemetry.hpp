@@ -5,7 +5,7 @@
 // lexical scope (ScopedLevel — what the PlanOptions::telemetry override
 // uses). Library sites never read it themselves: telemetry::event
 // (event.hpp) checks it for each catalogued sink, so a site whose sinks
-// are all off costs a few relaxed loads and branches and no allocation.
+// are all off costs a few relaxed loads and branches and formats nothing.
 #pragma once
 
 #include <atomic>

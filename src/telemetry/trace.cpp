@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <fstream>
 
-#include "telemetry/log.hpp"
 #include "telemetry/event.hpp"
 
 namespace ttlg::telemetry {
@@ -23,20 +22,6 @@ std::size_t default_capacity() {
     if (v > 0) return static_cast<std::size_t>(v);
   }
   return 65536;
-}
-
-// Span depth is a per-thread property: concurrent worker spans must not
-// see each other's nesting. The slot follows the collector the thread
-// touched last, which is all the library needs (only the global
-// collector ever runs spans).
-struct ThreadDepth {
-  const TraceCollector* owner = nullptr;
-  int depth = 0;
-};
-
-ThreadDepth& thread_depth() {
-  thread_local ThreadDepth d;
-  return d;
 }
 
 }  // namespace
@@ -60,18 +45,6 @@ void TraceCollector::add(TraceEvent ev) {
   if (has_room_locked()) events_.push_back(std::move(ev));
 }
 
-void TraceCollector::instant(std::string name, std::string cat, Json args) {
-  TraceEvent ev;
-  ev.name = std::move(name);
-  ev.cat = std::move(cat);
-  ev.ph = 'i';
-  ev.ts_us = now_us();
-  ev.depth = depth();
-  ev.tid = this_thread_id();
-  ev.args = std::move(args);
-  add(std::move(ev));
-}
-
 std::size_t TraceCollector::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return events_.size();
@@ -86,8 +59,6 @@ void TraceCollector::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   events_.clear();
   dropped_ = 0;
-  ThreadDepth& d = thread_depth();
-  if (d.owner == this) d.depth = 0;
 }
 
 std::size_t TraceCollector::capacity() const {
@@ -103,25 +74,6 @@ void TraceCollector::set_capacity(std::size_t cap) {
 std::int64_t TraceCollector::dropped() const {
   std::lock_guard<std::mutex> lock(mu_);
   return dropped_;
-}
-
-int TraceCollector::enter_span() {
-  ThreadDepth& d = thread_depth();
-  if (d.owner != this) {
-    d.owner = this;
-    d.depth = 0;
-  }
-  return d.depth++;
-}
-
-void TraceCollector::exit_span() {
-  ThreadDepth& d = thread_depth();
-  if (d.owner == this && d.depth > 0) --d.depth;
-}
-
-int TraceCollector::depth() const {
-  const ThreadDepth& d = thread_depth();
-  return d.owner == this ? d.depth : 0;
 }
 
 Json TraceCollector::to_json() const {

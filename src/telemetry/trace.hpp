@@ -43,8 +43,6 @@ class TraceCollector {
   double now_us() const;
 
   void add(TraceEvent ev);
-  /// Append an instant ('i') event at the current time.
-  void instant(std::string name, std::string cat, Json args = Json());
 
   std::size_t size() const;
   bool empty() const { return size() == 0; }
@@ -64,15 +62,6 @@ class TraceCollector {
   void set_capacity(std::size_t cap);
   /// Events dropped by this collector since construction/clear().
   std::int64_t dropped() const;
-
-  // Span-depth bookkeeping (used by telemetry::Stage). Depth is tracked
-  // per thread: concurrent spans on worker threads do not perturb each
-  // other. A thread's depth follows whichever collector it touched
-  // last — interleaving spans of two collectors on one thread is not
-  // supported (nothing does).
-  int enter_span();
-  void exit_span();
-  int depth() const;  ///< calling thread's current depth
 
  private:
   bool has_room_locked();  ///< false = drop (already counted)

@@ -228,9 +228,8 @@ TtgtPlan plan_ttgt(const sim::DeviceProperties& props,
 
         ++chains;
         telemetry::event(telemetry::Site::kTtgtChain,
-                         {{"a_perm", a_perm.to_string()},
-                          {"b_perm", b_perm.to_string()},
-                          {"c_perm", c_perm.to_string()},
+                         {{"a_perm", a_perm}, {"b_perm", b_perm},
+                          {"c_perm", c_perm},
                           {"predicted_total_us", total * 1e6}});
         if (best < 0 || total < best) {
           best = total;
@@ -243,11 +242,7 @@ TtgtPlan plan_ttgt(const sim::DeviceProperties& props,
       }
     }
   }
-  stage.emit({{"spec", spec.a_indices + "," + spec.b_indices + "->" +
-                          spec.c_indices},
-              {"m", plan.m},
-              {"n", plan.n},
-              {"k", plan.k},
+  stage.emit({{"spec", spec}, {"m", plan.m}, {"n", plan.n}, {"k", plan.k},
               {"chains_evaluated", chains},
               {"predicted_total_us", plan.predicted_total_s * 1e6}});
   return plan;

@@ -32,6 +32,10 @@ struct ContractionSpec {
   /// neither input, contracted letters appearing in the output, or
   /// letters appearing in only one tensor.
   static ContractionSpec parse(const std::string& text);
+  /// The "iak,kbj->abij" form parse() reads.
+  std::string to_string() const {
+    return a_indices + "," + b_indices + "->" + c_indices;
+  }
 };
 
 /// One step of a TTGT plan.

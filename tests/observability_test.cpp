@@ -178,6 +178,8 @@ TEST(ZeroOverhead, DisabledTelemetrySitesAllocateNothing) {
   auto& fr = telemetry::FlightRecorder::global();
   const bool recorder_was_on = telemetry::recorder_enabled();
   fr.set_enabled(false);
+  const Shape shape({64, 32, 48});
+  const Permutation perm({2, 0, 1});
 
   g_allocs.store(0, std::memory_order_relaxed);
   g_count_allocs.store(true, std::memory_order_relaxed);
@@ -188,6 +190,10 @@ TEST(ZeroOverhead, DisabledTelemetrySitesAllocateNothing) {
     telemetry::event(telemetry::Site::kRetry,
                      {{"id", i}, {"attempt", 1}, {"status", "Unavailable"}});
     telemetry::event(telemetry::Site::kOaCandidate, {{"in_vol", i}});
+    // A plan-cache hit, as PlanCache::get_shared fires it: the shape and
+    // permutation are formatted only by a sink that takes them.
+    telemetry::event(telemetry::Site::kCacheHit,
+                     {{"shape", shape}, {"perm", perm}});
   }
   g_count_allocs.store(false, std::memory_order_relaxed);
   fr.set_enabled(recorder_was_on);
@@ -270,6 +276,31 @@ TEST(FlightRecorderTest, LogEventsMirrorIntoTheRing) {
   EXPECT_EQ(std::string(entries[0].event), "evict");
   EXPECT_EQ(entries[0].level, telemetry::LogLevel::kDebug);
   EXPECT_EQ(std::string(entries[0].detail), "size=3 evictions=1");
+}
+
+TEST(FlightRecorderTest, OverlongDetailsAreTruncatedPrefixes) {
+  // A number that no longer fits after a long text field is cut like
+  // text: every detail is a prefix of the full "key=value" line, for
+  // every amount of room the number finds left.
+  auto& fr = telemetry::FlightRecorder::global();
+  const bool was_on = telemetry::recorder_enabled();
+  fr.set_enabled(true);
+  fr.clear();
+  const telemetry::ScopedLogLevel lvl(telemetry::LogLevel::kOff);
+  const std::size_t room = sizeof(telemetry::FlightEntry::detail) - 1;
+  std::vector<std::string> full;
+  for (std::size_t pad = room - 20; pad <= room; ++pad) {
+    const std::string status(pad, 's');
+    telemetry::event(telemetry::Site::kRetry,
+                     {{"status", status}, {"id", 123456789}, {"attempt", 2}});
+    full.push_back("status=" + status + " id=123456789 attempt=2");
+  }
+  const auto entries = fr.entries();
+  fr.set_enabled(was_on);
+
+  ASSERT_EQ(entries.size(), full.size());
+  for (std::size_t i = 0; i < full.size(); ++i)
+    EXPECT_EQ(std::string(entries[i].detail), full[i].substr(0, room)) << i;
 }
 
 TEST(FlightRecorderTest, SpecializationLeavesOneRingEntry) {
@@ -543,7 +574,7 @@ TEST(Trace, CapacityCapsRetentionAndCountsDrops) {
     // on the concatenation here.
     char name[16];
     std::snprintf(name, sizeof name, "e%d", i);
-    collector.instant(name, "obs_test");
+    collector.add({name, "obs_test", 'i'});
   }
 
   EXPECT_EQ(collector.size(), 4u);
